@@ -1,20 +1,21 @@
 # Development targets. `make verify` is the pre-commit gate: formatting,
 # vet, build, the full test suite under the race detector, a
-# single-iteration benchmark smoke run so the perf harness can't rot, the
-# meclint static-analysis suite (which includes the repolint doc and link
-# checks — see docs/LINTING.md), staticcheck when fetchable, a mecstat
-# smoke over its committed fixtures, and a mecd service smoke that boots
-# the daemon on a loopback port and drives one arrival/assign/departure
-# cycle through the live HTTP API.
+# single-iteration benchmark smoke run so the perf harness can't rot, a
+# few seconds of fuzzing the scenario decoder, the meclint
+# static-analysis suite (which includes the docs and links checks — see
+# docs/LINTING.md), staticcheck when fetchable, a mecstat smoke over its
+# committed fixtures, a mecd service smoke that boots the daemon on a
+# loopback port and drives one arrival/assign/departure cycle through
+# the live HTTP API, and the e2ebench module's own tests.
 
 GO ?= go
 
 # Pinned so CI and local runs agree; bump deliberately.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: verify build test vet fmt-check race bench bench-go bench-smoke bench-obs lint staticcheck doc-check link-check mecstat-smoke mecd-smoke workload-checks
+.PHONY: verify build test vet fmt-check race bench bench-go bench-smoke bench-obs fuzz-smoke lint staticcheck mecstat-smoke mecd-smoke workload-checks e2e-test
 
-verify: fmt-check vet build race bench-smoke lint staticcheck mecstat-smoke mecd-smoke workload-checks
+verify: fmt-check vet build race bench-smoke fuzz-smoke lint staticcheck mecstat-smoke mecd-smoke workload-checks e2e-test
 
 # The full go vet analyzer set, spelled out so the suite only changes
 # when this list does — a toolchain upgrade cannot silently drop a check.
@@ -68,21 +69,26 @@ bench-go:
 	$(GO) test -run xxx -bench . -benchmem ./...
 
 # One iteration of every benchmark: catches bitrot without the cost of a
-# real measurement run. The second step is the large-scenario memory
-# gate: a 100k-device scenario generated, streamed to JSON, and
-# stream-decoded under a pinned B/op budget (see
-# internal/scenarioio/largescale_test.go).
+# real measurement run. The second step is the large-scenario gate: a
+# 100k-device scenario encoded and decoded under a pinned B/op budget,
+# and the sha256 of the repository benchmark's three seed-1 documents
+# (see internal/scenarioio/largescale_test.go).
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
-	MEC_LARGE_SMOKE=1 $(GO) test -run TestLargeScenarioMemoryBudget ./internal/scenarioio/
+	MEC_LARGE_SMOKE=1 $(GO) test -run 'TestLargeScenarioMemoryBudget|TestReferenceHashes' ./internal/scenarioio/
 
-# Every internal/ package must keep its package comment in a doc.go.
-doc-check:
-	$(GO) run ./cmd/repolint -doc
+# A few seconds of native fuzzing of the scenario decoder against its
+# encoding/json oracle (internal/scenarioio FuzzDecode). A crasher lands
+# in internal/scenarioio/testdata/fuzz/FuzzDecode; commit it as a
+# regression case.
+fuzz-smoke:
+	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime 5s ./internal/scenarioio/
 
-# Every relative markdown link in *.md and docs/*.md must resolve.
-link-check:
-	$(GO) run ./cmd/repolint -links
+# The repository benchmark is its own module (e2ebench/go.mod), so
+# `go test ./...` at the root never reaches it. This runs its tests
+# only, under the race detector, not the benchmark runs themselves.
+e2e-test:
+	cd e2ebench && $(GO) test -race ./...
 
 # Observability overhead check: disabled vs metrics-enabled pipelines.
 # Every observability benchmark carries the BenchmarkObs prefix, so the

@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"testing"
@@ -131,7 +132,7 @@ func run() error {
 			"lp_resolve start=cold rebuilds and cold-solves the mutated cluster; start=warm dual-simplex re-solves the same mutation from the previous optimal basis (see docs/ALGORITHMS.md)",
 			"lphta compares Parallelism=1 vs one worker per core on the same scenario; outputs are byte-identical",
 			"sim_engine shards=N rows replay the same assignment with an explicit event-heap shard count; outputs are byte-identical",
-			"scenario_decode streams the canonical scenario document through the token-walking decoder",
+			"scenario_decode and scenario_encode read and write the canonical scenario document through the hand-written scenarioio codec (byte-scanning decoder, direct encoder)",
 			"the stations=N lphta row uses a production-shaped topology (many stations, moderate clusters)",
 			"sweep compares mecbench-style experiment wall-clock, sequential vs parallel pipeline",
 			"parallel speedups require multiple cores; on a single-core machine they measure pool overhead only",
@@ -310,7 +311,7 @@ func run() error {
 		})
 	}
 
-	// Scenario ingest: the streaming decoder over the canonical document.
+	// Scenario I/O: the codec over the canonical document, both ways.
 	docBytes, err := perfbench.ScenarioDocument(simTasks)
 	if err != nil {
 		return err
@@ -319,6 +320,14 @@ func run() error {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := scenarioio.Decode(bytes.NewReader(docBytes)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	record(fmt.Sprintf("scenario_encode/tasks=%d", simTasks), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := scenarioio.Encode(io.Discard, simSc); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -165,6 +165,25 @@ func TestScenarioParseError(t *testing.T) {
 	}
 }
 
+// TestTrailingBytesIsParseError pins that a valid document followed by
+// anything but whitespace is malformed input (exit 2), not a scenario.
+func TestTrailingBytesIsParseError(t *testing.T) {
+	var doc strings.Builder
+	if err := generateScenarioFile(&doc); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trailing.json")
+	if err := os.WriteFile(path, []byte(doc.String()+"this is not json {]"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	err := run([]string{"-load", path}, &out)
+	var pe *scenarioParseError
+	if !errors.As(err, &pe) {
+		t.Fatalf("error %T(%v) is not a *scenarioParseError", err, err)
+	}
+}
+
 // TestMissingFileIsNotParseError pins the error taxonomy: a missing file
 // is an I/O error (exit 1), not a parse error (exit 2).
 func TestMissingFileIsNotParseError(t *testing.T) {

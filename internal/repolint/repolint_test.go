@@ -171,3 +171,104 @@ func TestCheckDocsCleanAndViolations(t *testing.T) {
 		t.Errorf("violations = %v, want exactly 2", violations)
 	}
 }
+
+// check runs one check on root and fails the test on an error.
+func check(t *testing.T, fn func(string) ([]string, error), root string) string {
+	t.Helper()
+	violations, err := fn(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Join(violations, "\n")
+}
+
+func TestDocCheckPasses(t *testing.T) {
+	root := scaffold(t, map[string]string{
+		"internal/alpha/doc.go":   "// Package alpha does things.\npackage alpha\n",
+		"internal/alpha/alpha.go": "package alpha\n",
+	})
+	if v := check(t, CheckDocs, root); v != "" {
+		t.Fatalf("clean repo failed doc check:\n%s", v)
+	}
+}
+
+func TestDocCheckMissingDocFile(t *testing.T) {
+	root := scaffold(t, map[string]string{
+		"internal/alpha/alpha.go": "// Package alpha does things.\npackage alpha\n",
+	})
+	if v := check(t, CheckDocs, root); !strings.Contains(v, "missing doc.go") {
+		t.Errorf("violation not reported:\n%s", v)
+	}
+}
+
+func TestDocCheckWrongOpening(t *testing.T) {
+	root := scaffold(t, map[string]string{
+		"internal/alpha/doc.go":   "// alpha does things.\npackage alpha\n",
+		"internal/alpha/alpha.go": "package alpha\n",
+	})
+	if v := check(t, CheckDocs, root); v == "" {
+		t.Fatal("doc.go without canonical package sentence should fail")
+	}
+}
+
+func TestDocCheckIgnoresGoFreeDirs(t *testing.T) {
+	root := scaffold(t, map[string]string{
+		"internal/alpha/doc.go":        "// Package alpha does things.\npackage alpha\n",
+		"internal/alpha/alpha.go":      "package alpha\n",
+		"internal/alpha/testdata/x.md": "fixtures only\n",
+	})
+	if v := check(t, CheckDocs, root); v != "" {
+		t.Fatalf("testdata dir should not need a doc.go:\n%s", v)
+	}
+}
+
+func TestLinkCheckPasses(t *testing.T) {
+	root := scaffold(t, map[string]string{
+		"README.md": strings.Join([]string{
+			"[design](DESIGN.md) and [obs](docs/OBSERVABILITY.md#metrics)",
+			"[web](https://example.com) and [mail](mailto:x@example.com)",
+			"[frag](#section) stays internal",
+			"```",
+			"[broken-in-fence](nope.md)",
+			"```",
+			"and `[broken-in-code](missing.md)` spans",
+		}, "\n"),
+		"DESIGN.md":               "[back](README.md)\n",
+		"docs/OBSERVABILITY.md":   "[up](../README.md)\n",
+		"internal/alpha/doc.go":   "// Package alpha does things.\npackage alpha\n",
+		"internal/alpha/alpha.go": "package alpha\n",
+	})
+	if v := check(t, CheckLinks, root); v != "" {
+		t.Fatalf("clean links failed:\n%s", v)
+	}
+}
+
+func TestLinkCheckBrokenLink(t *testing.T) {
+	root := scaffold(t, map[string]string{
+		"README.md": "see [gone](docs/GONE.md)\nand [fine](OK.md)\n",
+		"OK.md":     "ok\n",
+	})
+	if v := check(t, CheckLinks, root); !strings.Contains(v, "README.md:1") || !strings.Contains(v, "docs/GONE.md") {
+		t.Errorf("violation not located:\n%s", v)
+	}
+}
+
+func TestLinkCheckMultipleLinksPerLine(t *testing.T) {
+	root := scaffold(t, map[string]string{
+		"README.md": "[a](A.md) [b](B.md)\n",
+		"A.md":      "a\n",
+	})
+	if v := check(t, CheckLinks, root); !strings.Contains(v, "B.md") {
+		t.Errorf("missing violation for second link:\n%s", v)
+	}
+}
+
+// TestRealRepoIsClean runs both checks against the actual repository the
+// test binary lives in, so the hygiene gate and the tree cannot drift.
+func TestRealRepoIsClean(t *testing.T) {
+	for _, fn := range []func(string) ([]string, error){CheckDocs, CheckLinks} {
+		if v := check(t, fn, "../.."); v != "" {
+			t.Errorf("repository not clean:\n%s", v)
+		}
+	}
+}

@@ -1,139 +1,24 @@
 package scenarioio
 
 import (
-	"fmt"
 	"io"
 
 	"dsmec/internal/sim"
-	"dsmec/internal/units"
 	"dsmec/internal/workload"
 )
 
-// faultsDoc is the on-disk form of a sim.FaultPlan, embedded in the
-// scenario document so a workload and the faults it should survive travel
-// as one artifact.
-type faultsDoc struct {
-	StationOutages   []outageDoc      `json:"station_outages,omitempty"`
-	DeviceDepartures []departureDoc   `json:"device_departures,omitempty"`
-	LinkDegradations []degradationDoc `json:"link_degradations,omitempty"`
-	TransferTimeoutS float64          `json:"transfer_timeout_s,omitempty"`
-	Recovery         *recoveryDoc     `json:"recovery,omitempty"`
-}
-
-type outageDoc struct {
-	Station int     `json:"station"`
-	AtS     float64 `json:"at_s"`
-	RepairS float64 `json:"repair_s"`
-}
-
-type departureDoc struct {
-	Device int     `json:"device"`
-	AtS    float64 `json:"at_s"`
-}
-
-type degradationDoc struct {
-	Station   int     `json:"station"`
-	Link      string  `json:"link"` // "wire" or "wan"
-	AtS       float64 `json:"at_s"`
-	DurationS float64 `json:"duration_s"`
-	Slowdown  float64 `json:"slowdown"`
-}
-
-type recoveryDoc struct {
-	MaxRetries   int     `json:"max_retries,omitempty"`
-	BackoffBaseS float64 `json:"backoff_base_s,omitempty"`
-	BackoffCapS  float64 `json:"backoff_cap_s,omitempty"`
-	NoReassign   bool    `json:"no_reassign,omitempty"`
-}
-
-func faultsToDoc(fp *sim.FaultPlan) *faultsDoc {
-	if fp == nil {
-		return nil
-	}
-	doc := &faultsDoc{TransferTimeoutS: fp.TransferTimeout.Seconds()}
-	for _, o := range fp.StationOutages {
-		doc.StationOutages = append(doc.StationOutages, outageDoc{
-			Station: o.Station, AtS: o.At.Seconds(), RepairS: o.Repair.Seconds(),
-		})
-	}
-	for _, d := range fp.DeviceDepartures {
-		doc.DeviceDepartures = append(doc.DeviceDepartures, departureDoc{
-			Device: d.Device, AtS: d.At.Seconds(),
-		})
-	}
-	for _, g := range fp.LinkDegradations {
-		doc.LinkDegradations = append(doc.LinkDegradations, degradationDoc{
-			Station: g.Station, Link: g.Link.String(),
-			AtS: g.At.Seconds(), DurationS: g.Duration.Seconds(), Slowdown: g.Slowdown,
-		})
-	}
-	if r := fp.Recovery; r != (sim.RecoveryPolicy{}) {
-		doc.Recovery = &recoveryDoc{
-			MaxRetries:   r.MaxRetries,
-			BackoffBaseS: r.BackoffBase.Seconds(),
-			BackoffCapS:  r.BackoffCap.Seconds(),
-			NoReassign:   r.NoReassign,
-		}
-	}
-	return doc
-}
-
-func faultsFromDoc(doc *faultsDoc) (*sim.FaultPlan, error) {
-	if doc == nil {
-		return nil, nil
-	}
-	fp := &sim.FaultPlan{TransferTimeout: units.Duration(doc.TransferTimeoutS)}
-	for _, o := range doc.StationOutages {
-		fp.StationOutages = append(fp.StationOutages, sim.StationOutage{
-			Station: o.Station, At: units.Duration(o.AtS), Repair: units.Duration(o.RepairS),
-		})
-	}
-	for _, d := range doc.DeviceDepartures {
-		fp.DeviceDepartures = append(fp.DeviceDepartures, sim.DeviceDeparture{
-			Device: d.Device, At: units.Duration(d.AtS),
-		})
-	}
-	for _, g := range doc.LinkDegradations {
-		var link sim.Link
-		switch g.Link {
-		case "wire":
-			link = sim.LinkWire
-		case "wan":
-			link = sim.LinkWAN
-		default:
-			return nil, fmt.Errorf("scenarioio: unknown link %q", g.Link)
-		}
-		fp.LinkDegradations = append(fp.LinkDegradations, sim.LinkDegradation{
-			Station: g.Station, Link: link,
-			At: units.Duration(g.AtS), Duration: units.Duration(g.DurationS), Slowdown: g.Slowdown,
-		})
-	}
-	if r := doc.Recovery; r != nil {
-		fp.Recovery = sim.RecoveryPolicy{
-			MaxRetries:  r.MaxRetries,
-			BackoffBase: units.Duration(r.BackoffBaseS),
-			BackoffCap:  units.Duration(r.BackoffCapS),
-			NoReassign:  r.NoReassign,
-		}
-	}
-	return fp, nil
-}
-
 // EncodeWithFaults writes the scenario together with a fault plan (nil
-// writes a plain scenario, identical to Encode). Like Encode, the
+// writes a plain scenario, identical to Encode), so a workload and the
+// faults it should survive travel as one artifact. Like Encode, the
 // document is streamed, never materialized whole.
 func EncodeWithFaults(w io.Writer, sc *workload.Scenario, fp *sim.FaultPlan) error {
-	return encodeStream(w, sc, faultsToDoc(fp))
+	return encode(w, sc, fp)
 }
 
 // DecodeWithFaults reads a scenario document and the fault plan embedded
 // in it, if any. The plan is validated against the decoded topology.
 func DecodeWithFaults(r io.Reader) (*workload.Scenario, *sim.FaultPlan, error) {
-	sc, fd, err := decodeStream(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	fp, err := faultsFromDoc(fd)
+	sc, fp, err := decode(r, true)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -129,13 +129,13 @@ func TestDecodeWithFaultsErrors(t *testing.T) {
 		if err := EncodeWithFaults(&buf, sc, fp); err != nil {
 			t.Fatal(err)
 		}
-		var doc Document
-		if err := decodeInto(buf.String(), &doc); err != nil {
+		doc, err := readDocument(buf.Bytes())
+		if err != nil {
 			t.Fatal(err)
 		}
 		mutate(&doc)
 		var out bytes.Buffer
-		if err := encodeDoc(&out, doc); err != nil {
+		if err := writeDocument(&out, doc); err != nil {
 			t.Fatal(err)
 		}
 		return out.String()

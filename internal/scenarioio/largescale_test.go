@@ -2,6 +2,8 @@ package scenarioio
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"testing"
 
@@ -9,18 +11,18 @@ import (
 	"dsmec/internal/workload"
 )
 
-// largeDecodeBudget pins the bytes allocated per streaming decode of the
-// 100k-device document below. Measured at ~153 MB/op on the recording
-// box (the resident scenario — task arena, ID index, topology, cost
-// model — dominates); the legacy whole-document decoder costs ~498
-// MB/op on the same input. The budget leaves ~25% headroom for
-// toolchain drift while still catching any return to whole-document
-// materialization, which re-adds hundreds of MB.
-const largeDecodeBudget = 192 << 20
+// largeDecodeBudget pins the bytes allocated per decode of the
+// 100k-device document below. Measured at 131 MB/op on a 2-vCPU x86-64
+// box with go1.24 (the resident scenario — task arena, ID index,
+// topology — is nearly all of it; the json.Decoder token walk this codec
+// replaced took 153 MB/op). The budget is that measurement plus 25% for
+// toolchain drift, which still catches any return to materializing the
+// document or its elements.
+const largeDecodeBudget = 164 << 20
 
 // TestLargeScenarioMemoryBudget is the `make bench-smoke` large-scenario
-// memory gate: generate a 100k-device / 200k-task scenario, stream it to
-// JSON, and stream-decode it back under a pinned B/op budget. The run
+// memory gate: generate a 100k-device / 200k-task scenario, encode it,
+// and decode it back under a pinned B/op budget. The run
 // allocates hundreds of megabytes and takes seconds, so it only runs
 // when MEC_LARGE_SMOKE=1 (the Makefile sets it).
 func TestLargeScenarioMemoryBudget(t *testing.T) {
@@ -57,6 +59,39 @@ func TestLargeScenarioMemoryBudget(t *testing.T) {
 	t.Logf("decode: %.1f MB/op, %d allocs/op over %d iteration(s)",
 		float64(perOp)/(1<<20), r.AllocsPerOp(), r.N)
 	if perOp > largeDecodeBudget {
-		t.Errorf("streaming decode allocated %d B/op, budget %d B/op", perOp, int64(largeDecodeBudget))
+		t.Errorf("decode allocated %d B/op, budget %d B/op", perOp, int64(largeDecodeBudget))
+	}
+}
+
+// TestReferenceHashes pins the encoder's bytes on the seed-1 documents of
+// the repository benchmark's three workloads (devices/stations/tasks).
+// The two large ones run only when MEC_LARGE_SMOKE=1.
+func TestReferenceHashes(t *testing.T) {
+	cases := []struct {
+		devices, stations, tasks int
+		sha256                   string
+	}{
+		{800, 20, 6000, "f7882373c56bbd5042b85a4496b7dfa42f3bedd40407d4597f1bddc5ce03ee50"},
+		{6000, 120, 36000, "883683b0c7fc6297eaad1ab66ec33048b3a8c185595a8e086c12dc0b1635669a"},
+		{100000, 5000, 100000, "c1cf0d1505e31e1d50b4b476b7ec0b280dfbc7763c085763175c3faedaca93ae"},
+	}
+	for i, c := range cases {
+		if i > 0 && os.Getenv("MEC_LARGE_SMOKE") == "" {
+			t.Logf("skipping %d/%d/%d: set MEC_LARGE_SMOKE=1", c.devices, c.stations, c.tasks)
+			continue
+		}
+		sc, err := workload.GenerateHolistic(rng.NewSource(1), workload.Params{
+			NumDevices: c.devices, NumStations: c.stations, NumTasks: c.tasks,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		if err := Encode(h, sc); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.sha256 {
+			t.Errorf("%d/%d/%d: sha256 %s, want %s", c.devices, c.stations, c.tasks, got, c.sha256)
+		}
 	}
 }

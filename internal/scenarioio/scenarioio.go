@@ -1,16 +1,15 @@
 package scenarioio
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
-	"dsmec/internal/backhaul"
 	"dsmec/internal/compute"
 	"dsmec/internal/costmodel"
 	"dsmec/internal/datamap"
 	"dsmec/internal/mecnet"
 	"dsmec/internal/radio"
+	"dsmec/internal/sim"
 	"dsmec/internal/task"
 	"dsmec/internal/units"
 	"dsmec/internal/workload"
@@ -19,271 +18,75 @@ import (
 // FormatVersion identifies the document schema.
 const FormatVersion = 1
 
-// Document is the on-disk form of a scenario.
-type Document struct {
-	Version   int           `json:"version"`
-	System    systemDoc     `json:"system"`
-	Cost      costDoc       `json:"cost_model"`
-	Tasks     []taskDoc     `json:"tasks"`
-	Placement *placementDoc `json:"placement,omitempty"`
-	Faults    *faultsDoc    `json:"faults,omitempty"`
+// Encode writes the scenario as indented JSON, streaming devices, tasks
+// and placement rows one element at a time (the document is never
+// materialized in memory). The cost model's λ and η are taken from params
+// (workload defaults) because costmodel hides them; pass the scenario
+// produced by the workload generator.
+func Encode(w io.Writer, sc *workload.Scenario) error {
+	return encode(w, sc, nil)
 }
 
-type systemDoc struct {
-	Devices  []deviceDoc  `json:"devices"`
-	Stations []stationDoc `json:"stations"`
-	CloudGHz float64      `json:"cloud_ghz"`
-	Wires    wiresDoc     `json:"wires"`
+// Decode reads a scenario document and rebuilds a fully validated
+// scenario, streaming the task array into the set's arena instead of
+// materializing the whole document. Any fault plan in the document is
+// ignored; use DecodeWithFaults to get it.
+func Decode(r io.Reader) (*workload.Scenario, error) {
+	sc, _, err := decode(r, false)
+	return sc, err
 }
 
-type deviceDoc struct {
-	Station     int     `json:"station"`
-	UploadMbps  float64 `json:"upload_mbps"`
-	DownMbps    float64 `json:"download_mbps"`
-	TxPowerW    float64 `json:"tx_power_w"`
-	RxPowerW    float64 `json:"rx_power_w"`
-	Tech        string  `json:"tech"`
-	FreqGHz     float64 `json:"freq_ghz"`
-	Kappa       float64 `json:"kappa"`
-	ResourceCap float64 `json:"resource_cap"`
-}
-
-type stationDoc struct {
-	FreqGHz     float64 `json:"freq_ghz"`
-	ResourceCap float64 `json:"resource_cap"`
-}
-
-type wiresDoc struct {
-	StationLatencyS float64 `json:"station_latency_s"`
-	StationBps      float64 `json:"station_bandwidth_bps"`
-	StationJPerByte float64 `json:"station_joule_per_byte"`
-	CloudLatencyS   float64 `json:"cloud_latency_s"`
-	CloudBps        float64 `json:"cloud_bandwidth_bps"`
-	CloudJPerByte   float64 `json:"cloud_joule_per_byte"`
-}
-
-type costDoc struct {
-	// CyclesPerByte is λ; ResultKind/ResultValue encode η: either
-	// "proportional" with a ratio, or "constant" with a byte size.
-	CyclesPerByte float64 `json:"cycles_per_byte"`
-	ResultKind    string  `json:"result_kind"`
-	ResultValue   float64 `json:"result_value"`
-}
-
-type taskDoc struct {
-	User           int     `json:"user"`
-	Index          int     `json:"index"`
-	Kind           string  `json:"kind"`
-	OpBytes        int64   `json:"op_bytes"`
-	LocalBytes     int64   `json:"local_bytes"`
-	ExternalBytes  int64   `json:"external_bytes"`
-	ExternalSource *int    `json:"external_source,omitempty"`
-	Resource       float64 `json:"resource"`
-	DeadlineS      float64 `json:"deadline_s"`
-	LocalBlocks    []int   `json:"local_blocks,omitempty"`
-	ExternalBlocks []int   `json:"external_blocks,omitempty"`
-}
-
-type placementDoc struct {
-	NumBlocks  int     `json:"num_blocks"`
-	BlockBytes int64   `json:"block_bytes"`
-	Holdings   [][]int `json:"holdings"`
-}
-
-// Per-element converters shared by the streaming and whole-document
-// paths, so the two produce identical scenarios by construction.
-
-func deviceToDoc(d *mecnet.Device) deviceDoc {
-	return deviceDoc{
-		Station:     d.Station,
-		UploadMbps:  d.Link.Upload.Mbps(),
-		DownMbps:    d.Link.Download.Mbps(),
-		TxPowerW:    float64(d.Link.TxPower),
-		RxPowerW:    float64(d.Link.RxPower),
-		Tech:        d.Link.Tech.String(),
-		FreqGHz:     d.Proc.Frequency.GHz(),
-		Kappa:       d.Proc.Kappa,
-		ResourceCap: d.ResourceCap,
-	}
-}
-
-func deviceFromDoc(d *deviceDoc) mecnet.Device {
-	return mecnet.Device{
-		Station: d.Station,
-		Link: radio.Link{
-			Tech:     techFromString(d.Tech),
-			Upload:   units.BitRate(d.UploadMbps) * units.MbitPerSecond,
-			Download: units.BitRate(d.DownMbps) * units.MbitPerSecond,
-			TxPower:  units.Power(d.TxPowerW),
-			RxPower:  units.Power(d.RxPowerW),
-		},
-		Proc: compute.Processor{
-			Frequency: units.Frequency(d.FreqGHz) * units.Gigahertz,
-			Kappa:     d.Kappa,
-		},
-		ResourceCap: d.ResourceCap,
-	}
-}
-
-func stationToDoc(s *mecnet.Station) stationDoc {
-	return stationDoc{
-		FreqGHz:     s.Proc.Frequency.GHz(),
-		ResourceCap: s.ResourceCap,
-	}
-}
-
-func stationFromDoc(s *stationDoc) mecnet.Station {
-	return mecnet.Station{
-		Proc:        compute.Processor{Frequency: units.Frequency(s.FreqGHz) * units.Gigahertz},
-		ResourceCap: s.ResourceCap,
-	}
-}
-
-func wiresToDoc(sys *mecnet.System) wiresDoc {
-	return wiresDoc{
-		StationLatencyS: sys.StationWire.Latency.Seconds(),
-		StationBps:      float64(sys.StationWire.Bandwidth),
-		StationJPerByte: float64(sys.StationWire.EnergyPerByte),
-		CloudLatencyS:   sys.CloudWire.Latency.Seconds(),
-		CloudBps:        float64(sys.CloudWire.Bandwidth),
-		CloudJPerByte:   float64(sys.CloudWire.EnergyPerByte),
-	}
-}
-
-func wiresFromDoc(w *wiresDoc, sys *mecnet.System) {
-	sys.StationWire = backhaul.Wire{
-		Latency:       units.Duration(w.StationLatencyS),
-		Bandwidth:     units.BitRate(w.StationBps),
-		EnergyPerByte: units.Energy(w.StationJPerByte),
-	}
-	sys.CloudWire = backhaul.Wire{
-		Latency:       units.Duration(w.CloudLatencyS),
-		Bandwidth:     units.BitRate(w.CloudBps),
-		EnergyPerByte: units.Energy(w.CloudJPerByte),
-	}
-}
-
-func costToDoc(params workload.Params) (costDoc, error) {
-	doc := costDoc{CyclesPerByte: compute.DefaultLambda}
-	switch rm := params.ResultModel.(type) {
+// resultModelSpec names a result model η for the cost_model object.
+func resultModelSpec(rm compute.ResultModel) (kind string, value float64, err error) {
+	switch rm := rm.(type) {
 	case compute.ProportionalResult:
-		doc.ResultKind = "proportional"
-		doc.ResultValue = rm.Ratio
+		return "proportional", rm.Ratio, nil
 	case compute.ConstantResult:
-		doc.ResultKind = "constant"
-		doc.ResultValue = float64(rm.Size)
+		return "constant", float64(rm.Size), nil
 	case nil:
-		doc.ResultKind = "proportional"
-		doc.ResultValue = compute.DefaultEta
+		return "proportional", compute.DefaultEta, nil
 	default:
-		return doc, fmt.Errorf("scenarioio: unsupported result model %T", rm)
+		return "", 0, fmt.Errorf("scenarioio: unsupported result model %T", rm)
 	}
-	return doc, nil
 }
 
-func resultModelFromDoc(c *costDoc) (compute.ResultModel, error) {
-	switch c.ResultKind {
+func resultModelFromSpec(c *costSpec) (compute.ResultModel, error) {
+	switch c.resultKind {
 	case "proportional":
-		return compute.ProportionalResult{Ratio: c.ResultValue}, nil
+		return compute.ProportionalResult{Ratio: c.resultValue}, nil
 	case "constant":
-		return compute.ConstantResult{Size: units.ByteSize(c.ResultValue)}, nil
+		return compute.ConstantResult{Size: units.ByteSize(c.resultValue)}, nil
 	default:
-		return nil, fmt.Errorf("scenarioio: unknown result kind %q", c.ResultKind)
+		return nil, fmt.Errorf("scenarioio: unknown result kind %q", c.resultKind)
 	}
 }
 
-func taskToDoc(t *task.Task) taskDoc {
-	td := taskDoc{
-		User:          t.ID.User,
-		Index:         t.ID.Index,
-		Kind:          t.Kind.String(),
-		OpBytes:       t.OpSize.Bytes(),
-		LocalBytes:    t.LocalSize.Bytes(),
-		ExternalBytes: t.ExternalSize.Bytes(),
-		Resource:      t.Resource,
-		DeadlineS:     t.Deadline.Seconds(),
-	}
-	if t.ExternalSource != task.NoExternalSource {
-		src := t.ExternalSource
-		td.ExternalSource = &src
-	}
-	for _, b := range t.LocalBlocks.Blocks() {
-		td.LocalBlocks = append(td.LocalBlocks, int(b))
-	}
-	for _, b := range t.ExternalBlocks.Blocks() {
-		td.ExternalBlocks = append(td.ExternalBlocks, int(b))
-	}
-	return td
-}
-
-func taskFromDoc(td *taskDoc) *task.Task {
-	t := &task.Task{
-		ID:             task.ID{User: td.User, Index: td.Index},
-		Kind:           kindFromString(td.Kind),
-		OpSize:         units.ByteSize(td.OpBytes),
-		LocalSize:      units.ByteSize(td.LocalBytes),
-		ExternalSize:   units.ByteSize(td.ExternalBytes),
-		ExternalSource: task.NoExternalSource,
-		Resource:       td.Resource,
-		Deadline:       units.Duration(td.DeadlineS),
-	}
-	if td.ExternalSource != nil {
-		t.ExternalSource = *td.ExternalSource
-	}
-	if len(td.LocalBlocks) > 0 {
-		t.LocalBlocks = datamap.NewSet()
-		for _, b := range td.LocalBlocks {
-			t.LocalBlocks.Add(datamap.BlockID(b))
-		}
-	}
-	if len(td.ExternalBlocks) > 0 {
-		t.ExternalBlocks = datamap.NewSet()
-		for _, b := range td.ExternalBlocks {
-			t.ExternalBlocks.Add(datamap.BlockID(b))
-		}
-	}
-	return t
-}
-
-func placementRow(p *datamap.Placement, dev int) ([]int, error) {
-	holding, err := p.Holding(dev)
-	if err != nil {
-		return nil, fmt.Errorf("scenarioio: %w", err)
-	}
-	row := make([]int, 0, holding.Len())
-	for _, b := range holding.Blocks() {
-		row = append(row, int(b))
-	}
-	return row, nil
-}
-
-// assemble validates the decoded pieces and builds the scenario. sysDoc
-// arrays have already been converted into sys; tasks are already in ts.
-func assemble(sys *mecnet.System, cost *costDoc, ts *task.Set, pd *placementDoc) (*workload.Scenario, error) {
+// assemble validates the decoded pieces and builds the scenario.
+func assemble(sys *mecnet.System, cost *costSpec, ts *task.Set, ps *placementSpec) (*workload.Scenario, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, fmt.Errorf("scenarioio: %w", err)
 	}
-	resultModel, err := resultModelFromDoc(cost)
+	resultModel, err := resultModelFromSpec(cost)
 	if err != nil {
 		return nil, err
 	}
-	model, err := costmodel.New(sys, compute.LinearCycles{PerByte: cost.CyclesPerByte}, resultModel)
+	model, err := costmodel.New(sys, compute.LinearCycles{PerByte: cost.cyclesPerByte}, resultModel)
 	if err != nil {
 		return nil, fmt.Errorf("scenarioio: %w", err)
 	}
 
 	var placement *datamap.Placement
-	if pd != nil {
-		if len(pd.Holdings) != len(sys.Devices) {
+	if ps != nil {
+		if len(ps.holdings) != len(sys.Devices) {
 			return nil, fmt.Errorf("scenarioio: %d holdings for %d devices",
-				len(pd.Holdings), len(sys.Devices))
+				len(ps.holdings), len(sys.Devices))
 		}
-		placement, err = datamap.NewPlacement(len(sys.Devices), pd.NumBlocks,
-			units.ByteSize(pd.BlockBytes))
+		placement, err = datamap.NewPlacement(len(sys.Devices), ps.numBlocks,
+			units.ByteSize(ps.blockBytes))
 		if err != nil {
 			return nil, fmt.Errorf("scenarioio: %w", err)
 		}
-		for dev, row := range pd.Holdings {
+		for dev, row := range ps.holdings {
 			for _, b := range row {
 				if err := placement.Assign(dev, datamap.BlockID(b)); err != nil {
 					return nil, fmt.Errorf("scenarioio: %w", err)
@@ -299,114 +102,6 @@ func assemble(sys *mecnet.System, cost *costDoc, ts *task.Set, pd *placementDoc)
 		Placement: placement,
 		Params:    workload.Params{ResultModel: resultModel},
 	}, nil
-}
-
-// Encode writes the scenario as indented JSON, streaming devices, tasks
-// and placement rows one element at a time (the document is never
-// materialized in memory). The cost model's λ and η are taken from params
-// (workload defaults) because costmodel hides them; pass the scenario
-// produced by the workload generator.
-func Encode(w io.Writer, sc *workload.Scenario) error {
-	return encodeStream(w, sc, nil)
-}
-
-// encodeDocument is the legacy whole-document encoder. The streaming
-// encoder must produce byte-identical output; the regression tests pin
-// the two against each other.
-func encodeDocument(w io.Writer, sc *workload.Scenario, faults *faultsDoc) error {
-	if sc == nil || sc.System == nil || sc.Tasks == nil {
-		return fmt.Errorf("scenarioio: incomplete scenario")
-	}
-	doc := Document{Version: FormatVersion, Faults: faults}
-
-	doc.System.CloudGHz = sc.System.Cloud.Proc.Frequency.GHz()
-	doc.System.Wires = wiresToDoc(sc.System)
-	for i := range sc.System.Devices {
-		doc.System.Devices = append(doc.System.Devices, deviceToDoc(&sc.System.Devices[i]))
-	}
-	for i := range sc.System.Stations {
-		doc.System.Stations = append(doc.System.Stations, stationToDoc(&sc.System.Stations[i]))
-	}
-
-	var err error
-	doc.Cost, err = costToDoc(sc.Params)
-	if err != nil {
-		return err
-	}
-
-	for i := 0; i < sc.Tasks.Len(); i++ {
-		doc.Tasks = append(doc.Tasks, taskToDoc(sc.Tasks.At(i)))
-	}
-
-	if sc.Placement != nil {
-		pd := &placementDoc{
-			NumBlocks:  sc.Placement.NumBlocks(),
-			BlockBytes: sc.Placement.BlockSize().Bytes(),
-		}
-		for i := 0; i < sc.Placement.NumDevices(); i++ {
-			row, err := placementRow(sc.Placement, i)
-			if err != nil {
-				return err
-			}
-			pd.Holdings = append(pd.Holdings, row)
-		}
-		doc.Placement = pd
-	}
-
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// Decode reads a scenario document and rebuilds a fully validated
-// scenario, streaming the task array into the set's arena instead of
-// materializing the whole document. Any fault plan in the document is
-// ignored; use DecodeWithFaults to get it.
-func Decode(r io.Reader) (*workload.Scenario, error) {
-	sc, _, err := decodeStream(r)
-	return sc, err
-}
-
-// decodeDocument is the legacy whole-document decoder, kept as the
-// reference implementation the streaming decoder is regression-tested
-// against.
-func decodeDocument(r io.Reader) (*workload.Scenario, *Document, error) {
-	var doc Document
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&doc); err != nil {
-		return nil, nil, fmt.Errorf("scenarioio: %w", err)
-	}
-	if doc.Version != FormatVersion {
-		return nil, nil, fmt.Errorf("scenarioio: unsupported version %d (want %d)", doc.Version, FormatVersion)
-	}
-
-	sys := &mecnet.System{
-		Cloud: mecnet.Cloud{Proc: compute.Processor{
-			Frequency: units.Frequency(doc.System.CloudGHz) * units.Gigahertz,
-		}},
-	}
-	wiresFromDoc(&doc.System.Wires, sys)
-	for i := range doc.System.Devices {
-		sys.Devices = append(sys.Devices, deviceFromDoc(&doc.System.Devices[i]))
-	}
-	for i := range doc.System.Stations {
-		sys.Stations = append(sys.Stations, stationFromDoc(&doc.System.Stations[i]))
-	}
-
-	ts := &task.Set{}
-	ts.Grow(len(doc.Tasks))
-	for i := range doc.Tasks {
-		if err := ts.Add(taskFromDoc(&doc.Tasks[i])); err != nil {
-			return nil, nil, fmt.Errorf("scenarioio: task %d: %w", i, err)
-		}
-	}
-
-	sc, err := assemble(sys, &doc.Cost, ts, doc.Placement)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sc, &doc, nil
 }
 
 func techFromString(s string) radio.Tech {
@@ -429,10 +124,14 @@ func kindFromString(s string) task.Kind {
 	}
 }
 
-// jsonUnmarshal and jsonMarshalTo expose raw-document (de)serialization
-// for tests that need to corrupt documents between Encode and Decode.
-func jsonUnmarshal(data []byte, doc *Document) error { return json.Unmarshal(data, doc) }
-
-func jsonMarshalTo(w io.Writer, doc Document) error {
-	return json.NewEncoder(w).Encode(doc)
+// linkFromString returns 0, no link, for an unknown name.
+func linkFromString(s string) sim.Link {
+	switch s {
+	case "wire":
+		return sim.LinkWire
+	case "wan":
+		return sim.LinkWAN
+	default:
+		return 0
+	}
 }

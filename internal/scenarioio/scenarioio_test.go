@@ -2,6 +2,8 @@ package scenarioio
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -169,7 +171,46 @@ func TestRoundTripConstantResultModel(t *testing.T) {
 	}
 }
 
+// smallDocument encodes a two-task scenario, the base the malformed
+// documents below are cut from.
+func smallDocument(t *testing.T) string {
+	t.Helper()
+	sc, err := workload.GenerateHolistic(rng.NewSource(7), workload.Params{
+		NumDevices: 3, NumStations: 1, NumTasks: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Encode(&buf, sc); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// repeatedTasks appends a second tasks array, its indices moved so the
+// IDs do not collide, to a valid document.
+func repeatedTasks(t *testing.T, valid string) string {
+	t.Helper()
+	doc, err := readDocument([]byte(valid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range doc.Tasks {
+		doc.Tasks[i].Index += 1000
+	}
+	more, err := json.Marshal(doc.Tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.TrimSuffix(strings.TrimSpace(valid), "}") + `, "tasks": ` + string(more) + "}"
+}
+
 func TestDecodeErrors(t *testing.T) {
+	valid := smallDocument(t)
+	if _, err := Decode(strings.NewReader(valid)); err != nil {
+		t.Fatalf("base document: %v", err)
+	}
 	tests := []struct {
 		name string
 		body string
@@ -180,13 +221,72 @@ func TestDecodeErrors(t *testing.T) {
 		{"unknown field", `{"version": 1, "bogus": true}`},
 		{"bad result kind", `{"version":1,"system":{"devices":[{"station":0,"upload_mbps":1,"download_mbps":1,"tx_power_w":1,"rx_power_w":1,"tech":"4G","freq_ghz":1,"kappa":0,"resource_cap":1}],"stations":[{"freq_ghz":4,"resource_cap":1}],"cloud_ghz":2.4,"wires":{"station_latency_s":0,"station_bandwidth_bps":0,"station_joule_per_byte":0,"cloud_latency_s":0,"cloud_bandwidth_bps":0,"cloud_joule_per_byte":0}},"cost_model":{"cycles_per_byte":330,"result_kind":"cubic","result_value":1},"tasks":[]}`},
 		{"invalid system", `{"version":1,"system":{"devices":[],"stations":[],"cloud_ghz":0,"wires":{"station_latency_s":0,"station_bandwidth_bps":0,"station_joule_per_byte":0,"cloud_latency_s":0,"cloud_bandwidth_bps":0,"cloud_joule_per_byte":0}},"cost_model":{"cycles_per_byte":330,"result_kind":"proportional","result_value":0.2},"tasks":[]}`},
+		{"trailing bytes", valid + "this is not json {]"},
+		{"repeated tasks", repeatedTasks(t, valid)},
+		{"repeated task field", strings.Replace(valid, `"resource": `, `"resource": 1, "resource": `, 1)},
+		{"repeated version", strings.Replace(valid, `"version": 1`, `"version": 1, "version": 1`, 1)},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Decode(strings.NewReader(tt.body)); err == nil {
-				t.Error("Decode should fail")
+			_, err := Decode(strings.NewReader(tt.body))
+			if err == nil {
+				t.Fatal("Decode should fail")
+			}
+			t.Log(err)
+			if !strings.HasPrefix(err.Error(), "scenarioio: ") {
+				t.Errorf("error %q lacks the scenarioio: prefix", err)
 			}
 		})
+	}
+}
+
+// TestDecodeErrorNamesElementAndOffset pins the error form: the element,
+// the key and the byte offset where the bad value ends.
+func TestDecodeErrorNamesElementAndOffset(t *testing.T) {
+	valid := smallDocument(t)
+	at := strings.LastIndex(valid, `"resource": `) + len(`"resource": `)
+	end := at + strings.IndexAny(valid[at:], ",\n")
+	body := valid[:at] + `"high"` + valid[end:]
+	_, err := Decode(strings.NewReader(body))
+	want := fmt.Sprintf(`scenarioio: task 1: resource: expected number, found '"' at byte %d`, at)
+	if err == nil || err.Error() != want {
+		t.Errorf("error = %v, want %s", err, want)
+	}
+}
+
+// TestDecodeNumberGrammar checks number spellings against the
+// encoding/json oracle: the scanner accepts exactly what the oracle
+// accepts, with the same bits, except null, which the oracle reads as
+// zero and the scanner rejects for every scalar.
+func TestDecodeNumberGrammar(t *testing.T) {
+	valid := smallDocument(t)
+	spellings := []string{
+		"2", "2.5", "-0", "0.0", "1e3", "1E+3", "2.5e-3", "1e-400", "123456789012345678901234567890",
+		"+1", "01", "-", "1.", ".5", "1e", "0x10", "NaN", "Infinity", "1e400", "--1", "1.5.3", `"1"`, "true", "null",
+	}
+	for _, field := range []string{`"resource": `, `"op_bytes": `, `"station": `} {
+		for _, num := range spellings {
+			at := strings.Index(valid, field) + len(field)
+			end := at + strings.IndexAny(valid[at:], ",\n")
+			body := valid[:at] + num + valid[end:]
+			got, gotErr := Decode(strings.NewReader(body))
+			want, _, wantErr := decodeDocument([]byte(body))
+			if num == "null" {
+				if gotErr == nil {
+					t.Errorf("%snull: scanner accepted null for a scalar", field)
+				}
+				continue
+			}
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Errorf("%s%s: scanner error %v, oracle error %v", field, num, gotErr, wantErr)
+				continue
+			}
+			if gotErr == nil {
+				if d := bitDiff(got, want); d != "" {
+					t.Errorf("%s%s: decoded values differ: %s", field, num, d)
+				}
+			}
+		}
 	}
 }
 
@@ -212,26 +312,16 @@ func TestDecodePlacementMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt: drop one holding row.
-	s := buf.String()
-	var doc Document
-	if err := decodeInto(s, &doc); err != nil {
+	doc, err := readDocument(buf.Bytes())
+	if err != nil {
 		t.Fatal(err)
 	}
 	doc.Placement.Holdings = doc.Placement.Holdings[:len(doc.Placement.Holdings)-1]
 	var buf2 bytes.Buffer
-	if err := encodeDoc(&buf2, doc); err != nil {
+	if err := writeDocument(&buf2, doc); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Decode(&buf2); err == nil {
 		t.Error("holding/device mismatch should fail")
 	}
-}
-
-// decodeInto / encodeDoc are raw-document helpers for corruption tests.
-func decodeInto(s string, doc *Document) error {
-	return jsonUnmarshal([]byte(s), doc)
-}
-
-func encodeDoc(w *bytes.Buffer, doc Document) error {
-	return jsonMarshalTo(w, doc)
 }

@@ -3,6 +3,12 @@ package scenarioio
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"os"
+	"sort"
 	"testing"
 
 	"dsmec/internal/rng"
@@ -50,53 +56,43 @@ func streamScenarios(t *testing.T) map[string]struct {
 	}
 }
 
-// TestStreamEncodeMatchesDocument pins the streaming encoder to the
-// legacy whole-document encoder byte for byte: downstream hashes of
-// scenario files must not change because of how they were written.
+// TestStreamEncodeMatchesDocument pins the encoder to the encoding/json
+// oracle byte for byte: downstream hashes of scenario files must not
+// change because of how they were written.
 func TestStreamEncodeMatchesDocument(t *testing.T) {
 	for name, tc := range streamScenarios(t) {
 		t.Run(name, func(t *testing.T) {
-			var legacy, stream bytes.Buffer
-			if err := encodeDocument(&legacy, tc.sc, faultsToDoc(tc.fp)); err != nil {
+			var oracle, codec bytes.Buffer
+			if err := encodeDocument(&oracle, tc.sc, tc.fp); err != nil {
 				t.Fatalf("encodeDocument: %v", err)
 			}
-			if err := encodeStream(&stream, tc.sc, faultsToDoc(tc.fp)); err != nil {
-				t.Fatalf("encodeStream: %v", err)
+			if err := EncodeWithFaults(&codec, tc.sc, tc.fp); err != nil {
+				t.Fatalf("EncodeWithFaults: %v", err)
 			}
-			if !bytes.Equal(legacy.Bytes(), stream.Bytes()) {
-				a, b := legacy.Bytes(), stream.Bytes()
-				n := len(a)
-				if len(b) < n {
-					n = len(b)
-				}
-				at := n
-				for i := 0; i < n; i++ {
-					if a[i] != b[i] {
-						at = i
-						break
-					}
-				}
-				lo := at - 60
-				if lo < 0 {
-					lo = 0
-				}
-				hiA, hiB := at+60, at+60
-				if hiA > len(a) {
-					hiA = len(a)
-				}
-				if hiB > len(b) {
-					hiB = len(b)
-				}
-				t.Fatalf("stream output diverges from document output at byte %d:\nlegacy: %q\nstream: %q",
-					at, a[lo:hiA], b[lo:hiB])
+			if d := firstDiff(oracle.Bytes(), codec.Bytes()); d != "" {
+				t.Fatal(d)
 			}
 		})
 	}
 }
 
-// TestStreamDecodeMatchesDocument pins the streaming decoder to the
-// legacy whole-document decoder: both must rebuild the same scenario
-// and the same fault plan from the same bytes.
+// firstDiff shows where two encodings first differ, or returns "".
+func firstDiff(a, b []byte) string {
+	if bytes.Equal(a, b) {
+		return ""
+	}
+	at := 0
+	for at < len(a) && at < len(b) && a[at] == b[at] {
+		at++
+	}
+	lo := max(at-60, 0)
+	return fmt.Sprintf("encodings diverge at byte %d:\noracle: %q\ncodec:  %q",
+		at, a[lo:min(at+60, len(a))], b[lo:min(at+60, len(b))])
+}
+
+// TestStreamDecodeMatchesDocument pins the scanner to the encoding/json
+// oracle: both must rebuild the same scenario and the same fault plan,
+// bit for bit, from the same bytes.
 func TestStreamDecodeMatchesDocument(t *testing.T) {
 	for name, tc := range streamScenarios(t) {
 		t.Run(name, func(t *testing.T) {
@@ -105,107 +101,46 @@ func TestStreamDecodeMatchesDocument(t *testing.T) {
 				t.Fatal(err)
 			}
 			data := buf.Bytes()
-
-			legacySc, legacyDoc, err := decodeDocument(bytes.NewReader(data))
+			oracleSc, oracleFp, err := decodeDocument(data)
 			if err != nil {
 				t.Fatalf("decodeDocument: %v", err)
 			}
-			streamSc, streamFd, err := decodeStream(bytes.NewReader(data))
+			sc, fp, err := DecodeWithFaults(bytes.NewReader(data))
 			if err != nil {
-				t.Fatalf("decodeStream: %v", err)
+				t.Fatalf("DecodeWithFaults: %v", err)
 			}
-
-			if legacySc.System.NumDevices() != streamSc.System.NumDevices() ||
-				legacySc.System.NumStations() != streamSc.System.NumStations() {
-				t.Fatal("topology differs between decoders")
+			if d := bitDiff(oracleSc, sc); d != "" {
+				t.Fatalf("scenario differs between decoders: %s", d)
 			}
-			for i := range legacySc.System.Devices {
-				if legacySc.System.Devices[i] != streamSc.System.Devices[i] {
-					t.Fatalf("device %d differs between decoders", i)
-				}
-			}
-			for i := range legacySc.System.Stations {
-				if legacySc.System.Stations[i] != streamSc.System.Stations[i] {
-					t.Fatalf("station %d differs between decoders", i)
-				}
-			}
-			if legacySc.System.Cloud != streamSc.System.Cloud ||
-				legacySc.System.StationWire != streamSc.System.StationWire ||
-				legacySc.System.CloudWire != streamSc.System.CloudWire {
-				t.Fatal("cloud/wires differ between decoders")
-			}
-
-			if legacySc.Tasks.Len() != streamSc.Tasks.Len() {
-				t.Fatal("task count differs between decoders")
-			}
-			for i := 0; i < legacySc.Tasks.Len(); i++ {
-				a, b := legacySc.Tasks.At(i), streamSc.Tasks.At(i)
-				if a.ID != b.ID || a.Kind != b.Kind || a.OpSize != b.OpSize ||
-					a.LocalSize != b.LocalSize || a.ExternalSize != b.ExternalSize ||
-					a.ExternalSource != b.ExternalSource || a.Resource != b.Resource ||
-					a.Deadline != b.Deadline {
-					t.Fatalf("task %d differs between decoders: %+v vs %+v", i, a, b)
-				}
-				if !a.LocalBlocks.Equal(b.LocalBlocks) || !a.ExternalBlocks.Equal(b.ExternalBlocks) {
-					t.Fatalf("task %d block sets differ between decoders", i)
-				}
-			}
-
-			if (legacySc.Placement == nil) != (streamSc.Placement == nil) {
-				t.Fatal("placement presence differs between decoders")
-			}
-			if legacySc.Placement != nil {
-				if legacySc.Placement.NumBlocks() != streamSc.Placement.NumBlocks() ||
-					legacySc.Placement.BlockSize() != streamSc.Placement.BlockSize() {
-					t.Fatal("placement dimensions differ between decoders")
-				}
-				for d := 0; d < legacySc.Placement.NumDevices(); d++ {
-					a, err := legacySc.Placement.Holding(d)
-					if err != nil {
-						t.Fatal(err)
-					}
-					b, err := streamSc.Placement.Holding(d)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !a.Equal(b) {
-						t.Fatalf("device %d holding differs between decoders", d)
-					}
-				}
-			}
-
-			legacyFp, err := faultsFromDoc(legacyDoc.Faults)
-			if err != nil {
-				t.Fatal(err)
-			}
-			streamFp, err := faultsFromDoc(streamFd)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if (legacyFp == nil) != (streamFp == nil) {
-				t.Fatal("fault plan presence differs between decoders")
-			}
-			if legacyFp != nil {
-				if len(legacyFp.StationOutages) != len(streamFp.StationOutages) ||
-					len(legacyFp.DeviceDepartures) != len(streamFp.DeviceDepartures) ||
-					len(legacyFp.LinkDegradations) != len(streamFp.LinkDegradations) ||
-					legacyFp.TransferTimeout != streamFp.TransferTimeout ||
-					legacyFp.Recovery != streamFp.Recovery {
-					t.Fatal("fault plans differ between decoders")
-				}
-				for i := range legacyFp.StationOutages {
-					if legacyFp.StationOutages[i] != streamFp.StationOutages[i] {
-						t.Fatalf("outage %d differs between decoders", i)
-					}
-				}
+			if d := bitDiff(oracleFp, fp); d != "" {
+				t.Fatalf("fault plan differs between decoders: %s", d)
 			}
 		})
 	}
 }
 
-// TestStreamDecodeFieldOrder checks the token-walking decoder accepts
-// documents whose top-level keys arrive in any order (JSON objects are
-// unordered; the legacy decoder never cared).
+// TestPinnedBaselineRoundTrip decodes the committed workload-checks
+// scenario and re-encodes it byte for byte.
+func TestPinnedBaselineRoundTrip(t *testing.T) {
+	data, err := os.ReadFile("../../workload-checks/ci-smoke/cases/pinned-baseline/scenario.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, fp, err := DecodeWithFaults(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := EncodeWithFaults(&out, sc, fp); err != nil {
+		t.Fatal(err)
+	}
+	if d := firstDiff(data, out.Bytes()); d != "" {
+		t.Fatal(d)
+	}
+}
+
+// TestStreamDecodeFieldOrder checks the decoder accepts documents whose
+// keys arrive in any order (JSON objects are unordered).
 func TestStreamDecodeFieldOrder(t *testing.T) {
 	sc, err := workload.GenerateHolistic(rng.NewSource(15), workload.Params{
 		NumDevices: 4, NumStations: 1, NumTasks: 8,
@@ -217,15 +152,43 @@ func TestStreamDecodeFieldOrder(t *testing.T) {
 	if err := Encode(&buf, sc); err != nil {
 		t.Fatal(err)
 	}
-	var doc Document
-	if err := jsonUnmarshal(buf.Bytes(), &doc); err != nil {
+	doc, err := readDocument(buf.Bytes())
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-emit with tasks before system and version last.
+	// Re-emit with tasks before system and version last, and each task's
+	// keys reversed.
 	var out bytes.Buffer
-	out.WriteString("{\"tasks\":")
-	writeJSON(t, &out, doc.Tasks)
-	out.WriteString(",\"cost_model\":")
+	out.WriteString("{\"tasks\":[")
+	for i, td := range doc.Tasks {
+		if i > 0 {
+			out.WriteString(",")
+		}
+		fields := map[string]any{}
+		raw, err := json.Marshal(td)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, &fields); err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]string, 0, len(fields))
+		for k := range fields {
+			keys = append(keys, k)
+		}
+		sort.Sort(sort.Reverse(sort.StringSlice(keys)))
+		out.WriteString("{")
+		for j, k := range keys {
+			if j > 0 {
+				out.WriteString(",")
+			}
+			writeJSON(t, &out, k)
+			out.WriteString(":")
+			writeJSON(t, &out, fields[k])
+		}
+		out.WriteString("}")
+	}
+	out.WriteString("],\"cost_model\":")
 	writeJSON(t, &out, doc.Cost)
 	out.WriteString(",\"system\":")
 	writeJSON(t, &out, doc.System)
@@ -235,7 +198,10 @@ func TestStreamDecodeFieldOrder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode with reordered fields: %v", err)
 	}
-	if got.Tasks.Len() != sc.Tasks.Len() || got.System.NumDevices() != sc.System.NumDevices() {
+	if d := bitDiff(sc.Tasks, got.Tasks); d != "" {
+		t.Fatalf("reordered document decoded differently: %s", d)
+	}
+	if got.System.NumDevices() != sc.System.NumDevices() {
 		t.Fatal("reordered document decoded incorrectly")
 	}
 }
@@ -247,4 +213,60 @@ func writeJSON(t *testing.T, buf *bytes.Buffer, v any) {
 		t.Fatal(err)
 	}
 	buf.Write(data)
+}
+
+// TestNumberAndStringFormatsMatchJSON pins appendFloat and appendString
+// to encoding/json's output on the edge cases of its number rule and its
+// HTML-safe escaping.
+func TestNumberAndStringFormatsMatchJSON(t *testing.T) {
+	floats := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.1, 5.85, 1e-6, 9.999999e-7, 1e-7, 1.5e-10,
+		1e20, 1e21, 1.2345e21, -1e21, 123456789e-20, 1e-27, 5e-324,
+		math.MaxFloat64, math.SmallestNonzeroFloat64, 1e300, 2.5e-300,
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		f := math.Float64frombits(r.Uint64())
+		if !math.IsNaN(f) && !math.IsInf(f, 0) {
+			floats = append(floats, f)
+		}
+	}
+	for _, f := range floats {
+		want, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendFloat(nil, f); string(got) != string(want) {
+			t.Errorf("appendFloat(%v) = %s, encoding/json writes %s", f, got, want)
+		}
+	}
+	for _, s := range []string{
+		"", "4G", "Wi-Fi", "Tech(7)", `quote " backslash \ slash /`, "<a href=\"x\">&amp;</a>",
+		"tab\tnewline\nreturn\rbell\x07nul\x00", "\b\f\x1f\x7f", "line\u2028para\u2029",
+		"invalid \xff\xfe utf-8", "é ü 日本", "\U0001F600",
+	} {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendString(nil, s); string(got) != string(want) {
+			t.Errorf("appendString(%q) = %s, encoding/json writes %s", s, got, want)
+		}
+	}
+}
+
+// TestEncodeRejectsNonFinite checks a value JSON cannot carry is an
+// error naming where it sits, not a corrupt document.
+func TestEncodeRejectsNonFinite(t *testing.T) {
+	sc, err := workload.GenerateHolistic(rng.NewSource(16), workload.Params{
+		NumDevices: 3, NumStations: 1, NumTasks: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Tasks.At(2).Resource = math.Inf(1)
+	err = Encode(io.Discard, sc)
+	if want := "scenarioio: task 2: resource: unsupported value +Inf"; err == nil || err.Error() != want {
+		t.Errorf("Encode error = %v, want %s", err, want)
+	}
 }

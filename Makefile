@@ -1,7 +1,7 @@
 # Development targets. `make verify` is the pre-commit gate: formatting,
 # vet, build, the full test suite under the race detector, a
 # single-iteration benchmark smoke run so the perf harness can't rot, a
-# few seconds of fuzzing the scenario decoder, the meclint
+# few seconds of fuzzing the scenario decoder and the cluster solver, the meclint
 # static-analysis suite (which includes the docs and links checks — see
 # docs/LINTING.md), staticcheck when fetchable, a mecstat smoke over its
 # committed fixtures, a mecd service smoke that boots the daemon on a
@@ -72,17 +72,23 @@ bench-go:
 # real measurement run. The second step is the large-scenario gate: a
 # 100k-device scenario encoded and decoded under a pinned B/op budget,
 # and the sha256 of the repository benchmark's three seed-1 documents
-# (see internal/scenarioio/largescale_test.go).
+# (see internal/scenarioio/largescale_test.go). The third checks the
+# structured cluster solver against the revised simplex on every cluster
+# of the benchmark's generated workloads (internal/core p2_test.go).
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 	MEC_LARGE_SMOKE=1 $(GO) test -run 'TestLargeScenarioMemoryBudget|TestReferenceHashes' ./internal/scenarioio/
+	MEC_LARGE_SMOKE=1 $(GO) test -run TestLPHTAStructuredMatchesSimplex ./internal/core/
 
-# A few seconds of native fuzzing of the scenario decoder against its
-# encoding/json oracle (internal/scenarioio FuzzDecode). A crasher lands
-# in internal/scenarioio/testdata/fuzz/FuzzDecode; commit it as a
-# regression case.
+# A few seconds of native fuzzing per target: the scenario decoder
+# against its encoding/json oracle (internal/scenarioio FuzzDecode), and
+# the structured cluster-relaxation solver against the revised simplex
+# (internal/core FuzzClusterRelaxation). `go test -fuzz` runs one target
+# per invocation. A crasher lands in the package's testdata/fuzz/<target>
+# directory; commit it as a regression case.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime 5s ./internal/scenarioio/
+	$(GO) test -run xxx -fuzz FuzzClusterRelaxation -fuzztime 5s ./internal/core/
 
 # The repository benchmark is its own module (e2ebench/go.mod), so
 # `go test ./...` at the root never reaches it. This runs its tests

@@ -20,7 +20,7 @@
 // regression gate for CI:
 //
 //	{"budgets": [
-//	  {"metric": "lp.pivots", "max": 500000},
+//	  {"metric": "lp.price_evaluations", "max": 500000},
 //	  {"metric": "sim.events", "min": 1},
 //	  {"metric": "wall_seconds", "max": 300}
 //	]}
@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"dsmec"
-	"dsmec/internal/lp"
 	"dsmec/internal/obs"
 	"dsmec/internal/workload"
 )
@@ -76,7 +75,6 @@ func run(args []string, stdout io.Writer) error {
 		metricsPath = fs.String("metrics", "", "write a run manifest (metrics + environment) to this JSON file")
 		tracePath   = fs.String("trace", "", "write a Chrome trace_event JSON to this file")
 		checkPath   = fs.String("check", "", "budget JSON file; exit non-zero when a final metric is out of budget")
-		lpMethod    = fs.String("lp-method", "auto", "simplex implementation for LP relaxations: auto, revised, or dense")
 		faultSeed   = fs.Int64("fault-seed", 1, "root seed for fault plans in fault-injecting experiments (robustness)")
 		obsAddr     = fs.String("obs-addr", "", "serve live /metrics, /metrics.json, /manifest, and /debug/pprof over HTTP on this address for the duration of the run")
 		snapPath    = fs.String("obs-snapshots", "", "append timestamped registry snapshots (JSON Lines) to this file while experiments run")
@@ -92,15 +90,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	obs.SetGlobalLogger(logger)
-	// The experiment definitions build their solver options internally, so
-	// the method is installed as the process default rather than threaded
-	// through every definition — the same pattern obs.SetGlobal uses.
-	method, err := lp.ParseMethod(*lpMethod)
-	if err != nil {
-		return err
-	}
-	lp.SetDefaultMethod(method)
-	defer lp.SetDefaultMethod(lp.MethodAuto)
 
 	if *list {
 		for _, d := range dsmec.Experiments() {

@@ -57,7 +57,7 @@ func TestBudgetCheckPasses(t *testing.T) {
 	dir := t.TempDir()
 	bpath := writeBudgets(t, dir, `{"budgets": [
 		{"metric": "lp.solves", "min": 1},
-		{"metric": "lp.pivots", "max": 100000000},
+		{"metric": "lp.price_evaluations", "max": 100000000},
 		{"metric": "wall_seconds", "max": 600},
 		{"metric": "bench.experiment_seconds.count", "min": 1}
 	]}`)
@@ -112,9 +112,9 @@ func TestBudgetFileValidation(t *testing.T) {
 		"malformed":      `{not json`,
 		"empty":          `{"budgets": []}`,
 		"unnamed":        `{"budgets": [{"max": 1}]}`,
-		"unbounded":      `{"budgets": [{"metric": "lp.pivots"}]}`,
+		"unbounded":      `{"budgets": [{"metric": "lp.price_evaluations"}]}`,
 		"unknown metric": `{"budgets": [{"metric": "no.such.metric", "min": 1}]}`,
-		"negative limit": `{"budgets": [{"metric": "lp.pivots", "max": -1}]}`,
+		"negative limit": `{"budgets": [{"metric": "lp.price_evaluations", "max": -1}]}`,
 	}
 	for name, content := range cases {
 		bpath := writeBudgets(t, dir, content)

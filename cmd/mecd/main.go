@@ -1,10 +1,10 @@
 // Command mecd is the online assignment daemon: it keeps the LP-HTA
-// cluster decomposition alive as warm per-station state and serves task
+// cluster decomposition alive as per-station state and serves task
 // arrivals, departures, and device churn over a JSON HTTP API. Arrivals
 // batch per cluster; a solve touches only the clusters dirtied since the
-// previous one, warm-starting each cluster LP from its previous optimal
-// basis (dual simplex), so steady-state re-solves cost a handful of pivots
-// instead of a full cold solve.
+// previous one, and each cluster keeps its tasks' solver constants and
+// device lists between solves, so a re-solve runs the structured cluster
+// solver with no setup.
 //
 // Usage:
 //

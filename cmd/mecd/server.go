@@ -15,11 +15,10 @@ import (
 	"dsmec/internal/units"
 )
 
-// server is the online assignment service: per-station shards of warm
-// cluster state behind HTTP. Arrivals and departures only mutate their
-// station's shard and mark it dirty; /v1/solve and /v1/assignments re-solve
-// exactly the dirty shards (warm-starting each cluster LP from its previous
-// optimal basis) and merge results in station order, so responses are
+// server is the online assignment service: per-station shards of cluster
+// state behind HTTP. Arrivals and departures only mutate their station's
+// shard and mark it dirty; /v1/solve and /v1/assignments re-solve exactly
+// the dirty shards and merge results in station order, so responses are
 // byte-identical at any solver parallelism.
 type server struct {
 	mux     *http.ServeMux
@@ -144,7 +143,6 @@ type shardStateDoc struct {
 	Station int  `json:"station"`
 	Tasks   int  `json:"tasks"`
 	Dirty   bool `json:"dirty"`
-	Warm    bool `json:"warm"`
 }
 
 func (s *server) handleState(w http.ResponseWriter, r *http.Request) {
@@ -158,7 +156,7 @@ func (s *server) handleState(w http.ResponseWriter, r *http.Request) {
 	s.topo.RUnlock()
 	for st, sh := range s.shards {
 		sh.mu.Lock()
-		d := shardStateDoc{Station: st, Tasks: sh.cs.Len(), Dirty: sh.dirty, Warm: sh.cs.Warm()}
+		d := shardStateDoc{Station: st, Tasks: sh.cs.Len(), Dirty: sh.dirty}
 		sh.mu.Unlock()
 		doc.Tasks += d.Tasks
 		doc.Shards = append(doc.Shards, d)
@@ -460,8 +458,8 @@ func (sh *shard) solveLocked() error {
 	return nil
 }
 
-// solveDoc is the POST /v1/solve body: the merged Theorem 2 quantities
-// plus warm-start accounting, accumulated in station order.
+// solveDoc is the POST /v1/solve body: the merged Theorem 2 quantities,
+// accumulated in station order.
 type solveDoc struct {
 	Tasks           int     `json:"tasks"`
 	Placed          int     `json:"placed"`
@@ -470,9 +468,7 @@ type solveDoc struct {
 	RoundedEnergyJ  float64 `json:"rounded_energy_joules"`
 	DeltaJ          float64 `json:"delta_joules"`
 	FractionalTasks int     `json:"fractional_tasks"`
-	LPIterations    int     `json:"lp_iterations"`
 	PreCancelled    int     `json:"pre_cancelled"`
-	WarmShards      int     `json:"warm_shards"`
 }
 
 func (s *server) merged() solveDoc {
@@ -496,11 +492,7 @@ func (s *server) merged() solveDoc {
 		doc.RoundedEnergyJ += res.RoundedEnergy.Joules()
 		doc.DeltaJ += res.Delta.Joules()
 		doc.FractionalTasks += res.FractionalTasks
-		doc.LPIterations += res.LPIterations
 		doc.PreCancelled += res.PreCancelled
-		if res.Warm {
-			doc.WarmShards++
-		}
 	}
 	return doc
 }

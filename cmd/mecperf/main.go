@@ -27,6 +27,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -111,11 +112,9 @@ func run() error {
 
 	lpBuildTasks, lpSolveTasks, htaTasks, simTasks := 300, 90, 450, 450
 	methodTasks := []int{150, 300, 600}
-	resolveTasks := []int{150, 300}
 	if *quick {
 		lpBuildTasks, lpSolveTasks, htaTasks, simTasks = 90, 30, 100, 100
 		methodTasks = []int{30, 90}
-		resolveTasks = []int{30, 90}
 	}
 
 	doc := baseline{
@@ -129,12 +128,12 @@ func run() error {
 		Notes: []string{
 			"lp build/solve compare dense vs sparse constraint rows on identical instances",
 			"lp_solve method=dense/revised compare the tableau oracle against the LU-factorized revised simplex",
-			"lp_resolve start=cold rebuilds and cold-solves the mutated cluster; start=warm dual-simplex re-solves the same mutation from the previous optimal basis (see docs/ALGORITHMS.md)",
 			"lphta compares Parallelism=1 vs one worker per core on the same scenario; outputs are byte-identical",
 			"sim_engine shards=N rows replay the same assignment with an explicit event-heap shard count; outputs are byte-identical",
 			"scenario_decode and scenario_encode read and write the canonical scenario document through the hand-written scenarioio codec (byte-scanning decoder, direct encoder)",
 			"the stations=N lphta row uses a production-shaped topology (many stations, moderate clusters)",
-			"sweep compares mecbench-style experiment wall-clock, sequential vs parallel pipeline",
+			"lphta rows solve each cluster relaxation with the structured P2 solver; lp_* rows measure internal/lp, which LP-HTA no longer calls",
+			"sweep compares mecbench-style experiment wall-clock, sequential vs parallel pipeline: each side repeats until it has run for at least 1 s and records its median run",
 			"parallel speedups require multiple cores; on a single-core machine they measure pool overhead only",
 		},
 	}
@@ -202,61 +201,6 @@ func run() error {
 					}
 				}
 			})
-		}
-	}
-
-	// Incremental re-solve: the online service's steady state. start=cold
-	// rebuilds the mutated cluster and solves it from scratch; start=warm
-	// pushes the same single-bound mutation into a live lp.Incremental and
-	// dual-simplex re-solves from the previous optimal basis.
-	for _, tasks := range resolveTasks {
-		record(fmt.Sprintf("lp_resolve/tasks=%d/start=cold", tasks), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p := perfbench.ClusterLP(tasks, true)
-				p.Method = lp.MethodRevised
-				p.Upper[0] *= 0.5
-				s, err := lp.Solve(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if s.Status != lp.Optimal {
-					b.Fatalf("status %v", s.Status)
-				}
-			}
-		})
-		record(fmt.Sprintf("lp_resolve/tasks=%d/start=warm", tasks), func(b *testing.B) {
-			b.ReportAllocs()
-			inc, err := lp.NewIncremental(perfbench.ClusterLP(tasks, true))
-			if err != nil {
-				b.Fatal(err)
-			}
-			u := inc.Problem().Upper[0]
-			if s, err := inc.Resolve(obs.Instruments{}); err != nil || s.Status != lp.Optimal {
-				b.Fatalf("seed solve: %v %v", s, err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%2 == 0 {
-					inc.SetUpper(0, u*0.5)
-				} else {
-					inc.SetUpper(0, u)
-				}
-				s, err := inc.Resolve(obs.Instruments{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if s.Status != lp.Optimal {
-					b.Fatalf("status %v", s.Status)
-				}
-			}
-		})
-		// One instrumented mutation pair, for the pivot story in the notes.
-		if pivots, err := resolvePivots(tasks); err == nil {
-			doc.Notes = append(doc.Notes, pivots)
-			fmt.Println(pivots)
-		} else {
-			return err
 		}
 	}
 
@@ -357,16 +301,26 @@ func run() error {
 	if *quick {
 		trials = 1
 	}
+	// One sweep runs for a fraction of a second, too short to time
+	// alone: each side repeats until it has run for sweepMinSeconds and
+	// reports its median run.
+	const sweepMinSeconds = 1.0
 	sweep := func(parallelism int) (float64, error) {
-		start := time.Now()
-		fig, err := experiment.Fig2a(experiment.Options{Seed: 1, Trials: trials, Quick: *quick, Parallelism: parallelism})
-		if err != nil {
-			return 0, err
+		var runs []float64
+		for total := 0.0; total < sweepMinSeconds; {
+			start := time.Now()
+			fig, err := experiment.Fig2a(experiment.Options{Seed: 1, Trials: trials, Quick: *quick, Parallelism: parallelism})
+			if err != nil {
+				return 0, err
+			}
+			if len(fig.Rows) == 0 {
+				return 0, fmt.Errorf("empty figure")
+			}
+			runs = append(runs, time.Since(start).Seconds())
+			total += runs[len(runs)-1]
 		}
-		if len(fig.Rows) == 0 {
-			return 0, fmt.Errorf("empty figure")
-		}
-		return time.Since(start).Seconds(), nil
+		sort.Float64s(runs)
+		return runs[len(runs)/2], nil
 	}
 	seqSec, err := sweep(1)
 	if err != nil {
@@ -409,46 +363,12 @@ func run() error {
 	return nil
 }
 
-// resolvePivots runs one instrumented single-arrival re-solve against a
-// warm cluster and reports its pivot count next to a cold solve of the
-// identical mutated problem, for the baseline notes (the <10% budget
-// itself is pinned by TestIncrementalWarmPivotBudget in internal/lp).
-func resolvePivots(tasks int) (string, error) {
-	const clusterDevices = 10 // perfbench's devicesPerCluster
-	inc, err := lp.NewIncremental(perfbench.ClusterLP(tasks, true))
-	if err != nil {
-		return "", err
-	}
-	if s, err := inc.Resolve(obs.Instruments{}); err != nil || s.Status != lp.Optimal {
-		return "", fmt.Errorf("seed solve: %v %v", s, err)
-	}
-	// One arrival: an EQ assignment row plus ClusterLP-shaped columns.
-	c4 := inc.AddRow(lp.EQ, 1)
-	inc.AddVariable(1.2, 0.8, []int{c4, tasks + tasks%clusterDevices}, []float64{1, 2})
-	inc.AddVariable(1.9, 0.8, []int{c4, tasks + clusterDevices}, []float64{1, 2})
-	inc.AddVariable(3.5, 0.8, []int{c4}, []float64{1})
-	warm, err := inc.Resolve(obs.Instruments{})
-	if err != nil {
-		return "", err
-	}
-	cold, err := lp.Solve(inc.Problem()) // Problem() pins MethodRevised
-
-	if err != nil {
-		return "", err
-	}
-	if warm.Status != lp.Optimal || cold.Status != lp.Optimal {
-		return "", fmt.Errorf("arrival re-solve: warm=%v cold=%v", warm.Status, cold.Status)
-	}
-	return fmt.Sprintf(
-		"lp_resolve tasks=%d single-arrival pivots: warm=%d (dual=%d, bound flips=%d) vs cold=%d",
-		tasks, warm.Stats.Pivots, warm.Stats.DualPivots, warm.Stats.BoundFlips,
-		cold.Stats.Pivots), nil
-}
-
 // compareBaseline checks the fresh results against a committed baseline.
 // Only benchmarks present in both documents are compared. allocs/op and
 // B/op are gated — they are deterministic, so a regression beyond the
 // tolerance is an error. ns/op is advisory: printed, never gating.
+// Baseline rows the fresh run no longer has are printed as gone
+// (advisory), so a deleted benchmark shows in the gate output.
 func compareBaseline(doc *baseline, path string, tolerance float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -461,6 +381,10 @@ func compareBaseline(doc *baseline, path string, tolerance float64) error {
 	prev := make(map[string]benchResult, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
 		prev[b.Name] = b
+	}
+	fresh := make(map[string]bool, len(doc.Benchmarks))
+	for _, b := range doc.Benchmarks {
+		fresh[b.Name] = true
 	}
 
 	fmt.Printf("\ncomparing against %s (tolerance %.0f%%)\n", path, 100*tolerance)
@@ -498,6 +422,13 @@ func compareBaseline(doc *baseline, path string, tolerance float64) error {
 				cur.Name, old.NsPerOp, cur.NsPerOp, 100*(cur.NsPerOp/old.NsPerOp-1))
 		}
 	}
+	gone := 0
+	for _, old := range base.Benchmarks {
+		if !fresh[old.Name] {
+			gone++
+			fmt.Printf("  gone  %-42s (in baseline, not in this run, advisory)\n", old.Name)
+		}
+	}
 	if compared == 0 {
 		return fmt.Errorf("baseline %s shares no benchmark names with this run", path)
 	}
@@ -507,6 +438,9 @@ func compareBaseline(doc *baseline, path string, tolerance float64) error {
 	fmt.Printf("all %d shared benchmarks within tolerance", compared)
 	if added > 0 {
 		fmt.Printf("; %d new benchmark(s) not in baseline (advisory — re-record to gate them)", added)
+	}
+	if gone > 0 {
+		fmt.Printf("; %d baseline benchmark(s) gone from this run (advisory — re-record to drop them)", gone)
 	}
 	fmt.Println()
 	return nil

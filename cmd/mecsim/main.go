@@ -110,7 +110,6 @@ func run(args []string, stdout io.Writer) error {
 		load        = fs.String("load", "", "load a scenario JSON document instead of generating one")
 		parallel    = fs.Int("parallel", 0, "LP-HTA cluster worker count (0 = GOMAXPROCS, 1 = sequential); results are identical for any value")
 		shards      = fs.Int("shards", 0, "simulator event-heap shard count (0 = auto); output is byte-identical for any value")
-		lpMethod    = fs.String("lp-method", "auto", "simplex implementation for the LP relaxations: auto, revised, or dense")
 		metricsPath = fs.String("metrics", "", "write a run manifest (metrics + environment) to this JSON file")
 		tracePath   = fs.String("trace", "", "write a Chrome trace_event JSON to this file")
 		faults      = fs.Bool("faults", false, "inject seeded faults (station outages, device churn, link degradation) into the simulator replay")
@@ -122,10 +121,6 @@ func run(args []string, stdout io.Writer) error {
 		logFormat   = fs.String("log-format", "text", "structured log encoding: text or json")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	method, err := dsmec.ParseLPMethod(*lpMethod)
-	if err != nil {
 		return err
 	}
 	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
@@ -168,7 +163,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	runErr := runScenario(instr, *load, *seed, *devices, *stations, *tasks, *inputKB,
-		*parallel, *shards, method, *divisible, *simulate, *faults, *faultSeed, stdout)
+		*parallel, *shards, *divisible, *simulate, *faults, *faultSeed, stdout)
 	if instr.enabled() {
 		if err := finishInstrumentation(instr, stdout); err != nil && runErr == nil {
 			runErr = err
@@ -180,7 +175,7 @@ func run(args []string, stdout io.Writer) error {
 // runScenario executes the selected pipeline under the (possibly nil)
 // instrumentation bundle.
 func runScenario(instr *instrumentation, load string, seed int64,
-	devices, stations, tasks, inputKB, parallel, shards int, method dsmec.LPMethod,
+	devices, stations, tasks, inputKB, parallel, shards int,
 	divisible, simulate, faults bool, faultSeed int64, stdout io.Writer) error {
 	if load != "" {
 		f, err := os.Open(load)
@@ -212,7 +207,7 @@ func runScenario(instr *instrumentation, load string, seed int64,
 			if faults {
 				return fmt.Errorf("fault injection applies to the simulator replay; the divisible pipeline has none")
 			}
-			return runDivisibleScenario(sc, method, instr, stdout)
+			return runDivisibleScenario(sc, instr, stdout)
 		}
 		if !faults {
 			fp = nil
@@ -220,7 +215,7 @@ func runScenario(instr *instrumentation, load string, seed int64,
 			// No plan embedded in the document: draw one for its topology.
 			fp = dsmec.GenerateFaultPlan(dsmec.NewSeed(faultSeed), sc.System, dsmec.DefaultFaultParams())
 		}
-		return runHolisticScenario(sc, parallel, shards, method, simulate, fp, instr, stdout)
+		return runHolisticScenario(sc, parallel, shards, simulate, fp, instr, stdout)
 	}
 
 	params := dsmec.WorkloadParams{
@@ -256,16 +251,16 @@ func runScenario(instr *instrumentation, load string, seed int64,
 		if faults {
 			return fmt.Errorf("fault injection applies to the simulator replay; the divisible pipeline has none")
 		}
-		return runDivisibleScenario(sc, method, instr, stdout)
+		return runDivisibleScenario(sc, instr, stdout)
 	}
 	var fp *dsmec.FaultPlan
 	if faults {
 		fp = dsmec.GenerateFaultPlan(dsmec.NewSeed(faultSeed), sc.System, dsmec.DefaultFaultParams())
 	}
-	return runHolisticScenario(sc, parallel, shards, method, simulate, fp, instr, stdout)
+	return runHolisticScenario(sc, parallel, shards, simulate, fp, instr, stdout)
 }
 
-func runHolisticScenario(sc *dsmec.Scenario, parallel, shards int, method dsmec.LPMethod,
+func runHolisticScenario(sc *dsmec.Scenario, parallel, shards int,
 	simulate bool, fp *dsmec.FaultPlan, instr *instrumentation, stdout io.Writer) error {
 	ins := instr.ins()
 	fmt.Fprintf(stdout, "scenario: %d devices, %d stations, %d holistic tasks\n\n",
@@ -273,7 +268,7 @@ func runHolisticScenario(sc *dsmec.Scenario, parallel, shards int, method dsmec.
 
 	tb := texttable.New("method", "energy (J)", "mean latency (s)", "unsatisfied", "device/station/cloud/cancel")
 
-	lph, err := dsmec.LPHTA(sc.Model, sc.Tasks, &dsmec.LPHTAOptions{Obs: ins, Parallelism: parallel, LPMethod: method})
+	lph, err := dsmec.LPHTA(sc.Model, sc.Tasks, &dsmec.LPHTAOptions{Obs: ins, Parallelism: parallel})
 	if err != nil {
 		return err
 	}
@@ -307,9 +302,9 @@ func runHolisticScenario(sc *dsmec.Scenario, parallel, shards int, method dsmec.
 		return err
 	}
 
-	fmt.Fprintf(stdout, "\nLP-HTA internals: LP optimum %.1f J over %d simplex iterations; "+
+	fmt.Fprintf(stdout, "\nLP-HTA internals: LP optimum %.1f J; "+
 		"%d fractional tasks; Δ = %v; ratio bound ≤ %.3f\n",
-		float64(lph.LPObjective), lph.LPIterations, lph.FractionalTasks,
+		float64(lph.LPObjective), lph.FractionalTasks,
 		lph.Delta, lph.RatioBoundEstimate())
 
 	if !simulate {
@@ -338,13 +333,13 @@ func runHolisticScenario(sc *dsmec.Scenario, parallel, shards int, method dsmec.
 	return nil
 }
 
-func runDivisibleScenario(sc *dsmec.Scenario, method dsmec.LPMethod, instr *instrumentation, stdout io.Writer) error {
+func runDivisibleScenario(sc *dsmec.Scenario, instr *instrumentation, stdout io.Writer) error {
 	ins := instr.ins()
 	fmt.Fprintf(stdout, "scenario: %d devices, %d stations, %d divisible tasks over %d blocks of %v\n\n",
 		sc.System.NumDevices(), sc.System.NumStations(), sc.Tasks.Len(),
 		sc.Placement.NumBlocks(), sc.Placement.BlockSize())
 
-	hol, err := dsmec.LPHTA(sc.Model, sc.Tasks, &dsmec.LPHTAOptions{Obs: ins, LPMethod: method})
+	hol, err := dsmec.LPHTA(sc.Model, sc.Tasks, &dsmec.LPHTAOptions{Obs: ins})
 	if err != nil {
 		return err
 	}

@@ -55,7 +55,7 @@ func TestMetricsManifest(t *testing.T) {
 		t.Errorf("missing environment stamps: %+v", m)
 	}
 	// The deep layers must have recorded through the Instruments chain.
-	for _, c := range []string{"lp.solves", "lp.pivots", "lphta.runs", "lphta.tasks", "sim.runs", "sim.events"} {
+	for _, c := range []string{"lp.solves", "lp.price_evaluations", "lphta.runs", "lphta.tasks", "sim.runs", "sim.events"} {
 		if m.Metrics.Counters[c] <= 0 {
 			t.Errorf("counter %s = %d, want > 0 (all: %v)", c, m.Metrics.Counters[c], m.Metrics.Counters)
 		}

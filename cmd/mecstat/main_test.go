@@ -20,7 +20,7 @@ func TestSingleRunReport(t *testing.T) {
 	s := out.String()
 	for _, want := range []string{
 		"tool=mecsim", "seed=11", "hash=8f21c04ab9e01d52",
-		"lp.pivots", "sim.utilization.st.cpu", "lp.pivots_per_solve",
+		"lp.price_evaluations", "sim.utilization.st.cpu", "lp.pivots_per_solve",
 		"p50", "p95", "p99",
 	} {
 		if !strings.Contains(s, want) {
@@ -58,8 +58,8 @@ func TestCompareDetectsRegression(t *testing.T) {
 		t.Errorf("gate error %q does not name the regressed histogram", err)
 	}
 	s := out.String()
-	if !strings.Contains(s, "lp.pivots") || !strings.Contains(s, "+100.0%") {
-		t.Errorf("counter delta for lp.pivots missing:\n%s", s)
+	if !strings.Contains(s, "lp.price_evaluations") || !strings.Contains(s, "+100.0%") {
+		t.Errorf("counter delta for lp.price_evaluations missing:\n%s", s)
 	}
 	if !strings.Contains(s, "lp.pivots_per_solve") {
 		t.Errorf("histogram shift section missing lp.pivots_per_solve:\n%s", s)

@@ -38,7 +38,6 @@ import (
 	"dsmec/internal/costmodel"
 	"dsmec/internal/datamap"
 	"dsmec/internal/experiment"
-	"dsmec/internal/lp"
 	"dsmec/internal/mecnet"
 	"dsmec/internal/obs"
 	"dsmec/internal/rng"
@@ -125,9 +124,6 @@ type (
 	HTAResult = core.HTAResult
 	// LPHTAOptions tunes LP-HTA (rounding rule, repair order).
 	LPHTAOptions = core.LPHTAOptions
-	// LPMethod selects the simplex implementation behind the LP-HTA
-	// relaxations.
-	LPMethod = lp.Method
 	// DTAOptions selects the divisible-task goal.
 	DTAOptions = core.DTAOptions
 	// DTAResult is the outcome of the divisible-task pipeline.
@@ -140,16 +136,6 @@ type (
 const (
 	GoalWorkload = core.GoalWorkload
 	GoalNumber   = core.GoalNumber
-)
-
-// LP solve methods (LPHTAOptions.LPMethod).
-const (
-	// LPMethodAuto resolves to the package default, the revised simplex.
-	LPMethodAuto = lp.MethodAuto
-	// LPMethodRevised is the LU-factorized revised simplex.
-	LPMethodRevised = lp.MethodRevised
-	// LPMethodDense is the dense tableau reference implementation.
-	LPMethodDense = lp.MethodDense
 )
 
 // Workloads and experiments.
@@ -203,10 +189,6 @@ func GenerateDivisible(src *Seed, params WorkloadParams) (*Scenario, error) {
 func LPHTA(m *CostModel, ts *TaskSet, opts *LPHTAOptions) (*HTAResult, error) {
 	return core.LPHTA(m, ts, opts)
 }
-
-// ParseLPMethod converts a CLI flag value ("auto", "revised", or
-// "dense") into an LPMethod.
-func ParseLPMethod(s string) (LPMethod, error) { return lp.ParseMethod(s) }
 
 // DTA runs the Section IV divisible task assignment: data division per
 // opts.Goal, task rearrangement, LP-HTA scheduling, and descriptor/result

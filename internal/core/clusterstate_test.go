@@ -50,12 +50,12 @@ func batchCompare(t *testing.T, m *costmodel.Model, live []*task.Task, results m
 		for _, p := range res.Placements {
 			placed++
 			if got := batch.Assignment.Of(p.ID); got != p.Level {
-				t.Errorf("task %v: incremental placed %v, batch %v", p.ID, p.Level, got)
+				t.Errorf("task %v: cluster state placed %v, batch %v", p.ID, p.Level, got)
 			}
 		}
 	}
 	if placed != len(live) {
-		t.Errorf("incremental results cover %d tasks, want %d", placed, len(live))
+		t.Errorf("cluster state results cover %d tasks, want %d", placed, len(live))
 	}
 	if diff := math.Abs(float64(obj - batch.LPObjective)); diff > 1e-9*(1+math.Abs(float64(batch.LPObjective))) {
 		t.Errorf("LPObjective = %v, batch %v", obj, batch.LPObjective)
@@ -121,8 +121,8 @@ func TestClusterStateMatchesBatchOnRandomScenarios(t *testing.T) {
 
 func TestClusterStateMutationsMatchBatch(t *testing.T) {
 	// Interleave arrivals, departures, deadline tightening, and solves;
-	// after every solve the warm state must match a cold batch run over
-	// the same live set.
+	// after every solve the state must match a batch run over the same
+	// live set.
 	sc, err := workload.GenerateHolistic(rng.NewSource(11), workload.Params{
 		NumDevices: 8, NumStations: 1, NumTasks: 40,
 	})
@@ -138,14 +138,11 @@ func TestClusterStateMutationsMatchBatch(t *testing.T) {
 	// not leak into the shared scenario arena.
 	live := map[task.ID]*task.Task{}
 	order := []task.ID{}
-	solve := func(warm bool) {
+	solve := func() {
 		t.Helper()
 		res, err := cs.Solve()
 		if err != nil {
 			t.Fatal(err)
-		}
-		if res.Warm != warm {
-			t.Errorf("Warm = %v, want %v", res.Warm, warm)
 		}
 		tasks := make([]*task.Task, 0, len(order))
 		for _, id := range order {
@@ -179,16 +176,16 @@ func TestClusterStateMutationsMatchBatch(t *testing.T) {
 	for _, tk := range all[:25] {
 		add(*tk)
 	}
-	solve(false) // first solve is cold
+	solve()
 	for _, tk := range all[25:32] {
 		add(*tk)
 	}
-	solve(true)
+	solve()
 	remove(all[3].ID)
 	remove(all[17].ID)
 	remove(all[28].ID)
-	solve(true)
-	// Tighten a few deadlines to 60% and re-solve warm.
+	solve()
+	// Tighten a few deadlines to 60% and re-solve.
 	for _, tk := range all[5:10] {
 		if _, ok := live[tk.ID]; !ok {
 			continue
@@ -199,12 +196,12 @@ func TestClusterStateMutationsMatchBatch(t *testing.T) {
 		}
 		live[tk.ID].Deadline = d
 	}
-	solve(true)
+	solve()
 	// Churn: more arrivals after departures.
 	for _, tk := range all[32:40] {
 		add(*tk)
 	}
-	solve(true)
+	solve()
 }
 
 func TestClusterStateCancelAndRevive(t *testing.T) {
@@ -259,16 +256,15 @@ func TestClusterStateCancelAndRevive(t *testing.T) {
 }
 
 func TestClusterStateCompaction(t *testing.T) {
-	// Add enough tasks and remove most of them: the state must compact
-	// (cold rebuild) and still match batch afterwards.
+	// Add enough tasks and remove most of them: the state must drop the
+	// removed slots and still match batch afterwards.
 	sc, err := workload.GenerateHolistic(rng.NewSource(23), workload.Params{
 		NumDevices: 6, NumStations: 1, NumTasks: 40,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	cs, err := NewClusterState(sc.Model, 0, &LPHTAOptions{Obs: obs.Instruments{Metrics: reg}})
+	cs, err := NewClusterState(sc.Model, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +287,7 @@ func TestClusterStateCompaction(t *testing.T) {
 		}
 		live = append(live, tk)
 	}
-	if reg.Counter("lphta.inc.compactions").Value() == 0 {
+	if len(cs.slots) == len(all) {
 		t.Fatal("expected a compaction after removing most tasks")
 	}
 	if got, want := cs.Len(), len(live); got != want {
@@ -339,8 +335,7 @@ func TestClusterStateInfeasibleFallback(t *testing.T) {
 		t.Fatal("scenario did not drive the LP infeasible; constants need retuning")
 	}
 	batchCompare(t, m, tasks, map[int]*ClusterResult{0: res})
-	// A warm re-solve after a mutation must keep matching batch even
-	// though the fallback dropped the warm basis.
+	// A re-solve after a mutation must keep matching batch.
 	if err := cs.RemoveTask(tasks[1].ID); err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,16 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
 	"dsmec/internal/costmodel"
-	"dsmec/internal/lp"
 	"dsmec/internal/mecnet"
 	"dsmec/internal/obs"
 	"dsmec/internal/task"
@@ -61,11 +62,6 @@ type LPHTAOptions struct {
 	// value records metrics to the process-wide obs registry (if any)
 	// and disables tracing.
 	Obs obs.Instruments
-	// LPMethod selects the simplex implementation used for the cluster
-	// relaxations (see lp.Method). The zero value lp.MethodAuto resolves
-	// to the package default, the revised simplex; lp.MethodDense selects
-	// the dense tableau reference implementation.
-	LPMethod lp.Method
 }
 
 func (o *LPHTAOptions) withDefaults() (LPHTAOptions, error) {
@@ -80,7 +76,6 @@ func (o *LPHTAOptions) withDefaults() (LPHTAOptions, error) {
 		out.Rand = o.Rand
 		out.Obs = o.Obs
 		out.Parallelism = o.Parallelism
-		out.LPMethod = o.LPMethod
 	}
 	if out.Rounding == RoundRandomized && out.Rand == nil {
 		return out, fmt.Errorf("core: randomized rounding requires a rand source")
@@ -111,8 +106,6 @@ type HTAResult struct {
 	// FractionalTasks counts tasks whose LP solution was not already
 	// integral.
 	FractionalTasks int
-	// LPIterations sums simplex iterations across clusters.
-	LPIterations int
 	// PreCancelled counts tasks cancelled before the LP because no
 	// subsystem could meet their deadline at all.
 	PreCancelled int
@@ -153,7 +146,6 @@ type clusterOutcome struct {
 	rounded      []units.Energy // Step 3 energy per surviving task, input order
 	lpObjective  units.Energy
 	delta        units.Energy
-	lpIterations int
 	fractional   int
 	preCancelled int
 }
@@ -206,7 +198,7 @@ func LPHTA(m *costmodel.Model, ts *task.Set, options *LPHTAOptions) (*HTAResult,
 
 	clusterSeconds := opts.Obs.Histogram("lphta.cluster_seconds", obs.TimeBuckets)
 	clusterTasks := opts.Obs.Histogram("lphta.cluster_tasks", obs.CountBuckets)
-	runCluster := func(ci int) (*clusterOutcome, error) {
+	runCluster := func(ci int, sc *clusterScratch) (*clusterOutcome, error) {
 		c := clusters[ci]
 		opts.Obs.Counter("lphta.clusters").Inc()
 		clusterTasks.Observe(float64(len(c.tasks)))
@@ -222,7 +214,7 @@ func LPHTA(m *costmodel.Model, ts *task.Set, options *LPHTAOptions) (*HTAResult,
 		copts := opts
 		copts.Obs = opts.Obs.WithSpan(cspan)
 		timer := obs.StartTimer()
-		out, err := lphtaCluster(m, ts, c.station, c.tasks, copts)
+		out, err := lphtaCluster(m, ts, c.station, c.tasks, copts, sc)
 		elapsed := timer.Seconds()
 		clusterSeconds.Observe(elapsed)
 		cspan.End()
@@ -235,7 +227,6 @@ func LPHTA(m *costmodel.Model, ts *task.Set, options *LPHTAOptions) (*HTAResult,
 				"tasks", len(c.tasks),
 				"fractional", out.fractional,
 				"pre_cancelled", out.preCancelled,
-				"lp_iterations", out.lpIterations,
 				"seconds", elapsed)
 		}
 		return out, nil
@@ -244,8 +235,9 @@ func LPHTA(m *costmodel.Model, ts *task.Set, options *LPHTAOptions) (*HTAResult,
 	outcomes := make([]*clusterOutcome, len(clusters))
 	errs := make([]error, len(clusters))
 	if workers <= 1 {
+		sc := &clusterScratch{}
 		for ci := range clusters {
-			outcomes[ci], errs[ci] = runCluster(ci)
+			outcomes[ci], errs[ci] = runCluster(ci, sc)
 			if errs[ci] != nil {
 				return nil, errs[ci]
 			}
@@ -257,8 +249,9 @@ func LPHTA(m *costmodel.Model, ts *task.Set, options *LPHTAOptions) (*HTAResult,
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				sc := &clusterScratch{}
 				for ci := range idx {
-					outcomes[ci], errs[ci] = runCluster(ci)
+					outcomes[ci], errs[ci] = runCluster(ci, sc)
 				}
 			}()
 		}
@@ -278,7 +271,6 @@ func LPHTA(m *costmodel.Model, ts *task.Set, options *LPHTAOptions) (*HTAResult,
 	// sequential one, so output does not depend on the worker count.
 	for _, o := range outcomes {
 		res.LPObjective += o.lpObjective
-		res.LPIterations += o.lpIterations
 		res.FractionalTasks += o.fractional
 		res.PreCancelled += o.preCancelled
 		for _, e := range o.rounded {
@@ -292,13 +284,13 @@ func LPHTA(m *costmodel.Model, ts *task.Set, options *LPHTAOptions) (*HTAResult,
 		}
 	}
 	span.Annotate("fractional_tasks", res.FractionalTasks)
-	span.Annotate("lp_iterations", res.LPIterations)
 	return res, nil
 }
 
 // lphtaCluster runs Steps 1–6 for one cluster and returns its outcome.
-// tasks holds the cluster's dense indices into the set arena.
-func lphtaCluster(m *costmodel.Model, ts *task.Set, station int, tasks []int32, opts LPHTAOptions) (*clusterOutcome, error) {
+// tasks holds the cluster's dense indices into the set arena; sc is the
+// calling worker's scratch.
+func lphtaCluster(m *costmodel.Model, ts *task.Set, station int, tasks []int32, opts LPHTAOptions, sc *clusterScratch) (*clusterOutcome, error) {
 	sys := m.System()
 	out := &clusterOutcome{placements: make([]taskPlacement, 0, len(tasks))}
 
@@ -325,14 +317,13 @@ func lphtaCluster(m *costmodel.Model, ts *task.Set, station int, tasks []int32, 
 	}
 
 	// Step 1: build and solve the relaxation P2.
-	frac, sol, err := solveClusterLP(sys, station, cts, opts.LPMethod, opts.Obs)
+	sol, err := sc.solveClusterLP(sys, station, cts, opts.Obs)
 	if err != nil {
 		return nil, err
 	}
-	out.lpObjective = units.Energy(sol.Objective)
-	out.lpIterations = sol.Iterations
+	out.lpObjective = units.Energy(sol.obj)
 
-	roundAndRepair(sys, station, cts, frac, opts, out)
+	roundAndRepair(sys, station, cts, sol.x, sc.devs, nil, opts, out)
 	return out, nil
 }
 
@@ -340,10 +331,12 @@ func lphtaCluster(m *costmodel.Model, ts *task.Set, station int, tasks []int32, 
 // fractional solution to x̂, repair deadline violations, then repair device
 // and station capacity overloads. It appends the surviving placements and
 // accumulates rounded energy, Δ, and the fractional-task count into out.
-// Both the batch path (lphtaCluster) and the incremental path
-// (ClusterState.Solve) share this code, so a warm re-solve that reaches the
-// same fractional solution produces byte-identical assignments.
-func roundAndRepair(sys *mecnet.System, station int, cts []clusterTask, frac [][3]float64, opts LPHTAOptions, out *clusterOutcome) {
+// Both the batch path (lphtaCluster) and the online path
+// (ClusterState.Solve) share this code, so equal fractional solutions
+// produce byte-identical assignments. devs is the solver's device
+// grouping; pos maps its task indices to indices into cts (nil when they
+// are the same).
+func roundAndRepair(sys *mecnet.System, station int, cts []clusterTask, frac [][3]float64, devs []p2Device, pos []int32, opts LPHTAOptions, out *clusterOutcome) {
 	// Steps 2–3: round to x̂.
 	rspan := opts.Obs.Span.Child("lphta.round")
 	roundTimer := obs.StartTimer()
@@ -398,18 +391,21 @@ func roundAndRepair(sys *mecnet.System, station int, cts []clusterTask, frac [][
 	sorter := repairSorter{cts: cts, order: opts.Repair}
 
 	// Step 5: per-device capacity repair (device → station → cancel).
-	byDevice := make(map[int][]int) // device -> indices into cts
-	for i, ct := range cts {
-		if chosen[i] == costmodel.SubsystemDevice {
-			byDevice[ct.t.ID.User] = append(byDevice[ct.t.ID.User], i)
-		}
-	}
-	for dev, idxs := range byDevice {
-		cap := sys.Devices[dev].ResourceCap
+	var idxs []int
+	for d := range devs {
+		idxs = idxs[:0]
 		load := 0.0
-		for _, i := range idxs {
-			load += cts[i].t.Resource
+		for _, k := range devs[d].tasks {
+			i := int(k)
+			if pos != nil {
+				i = int(pos[k])
+			}
+			if chosen[i] == costmodel.SubsystemDevice {
+				idxs = append(idxs, i)
+				load += cts[i].t.Resource
+			}
 		}
+		cap := devs[d].cap
 		if load <= cap {
 			continue
 		}
@@ -498,8 +494,8 @@ func feasibleAnywhere(t *task.Task, o costmodel.Options) bool {
 
 // taskBounds returns the deadline-derived variable upper bound (C1 folded
 // into the relaxed C5 bound) and the reachability flag per subsystem for one
-// evaluated task. Shared by the batch LP build and the incremental solver so
-// both derive identical bounds.
+// evaluated task. Only newP2Task calls it, so the batch path and
+// ClusterState derive identical bounds.
 func taskBounds(t *task.Task, o costmodel.Options) (bounds [3]float64, reach [3]bool) {
 	for li, l := range costmodel.Subsystems {
 		c := o.At(l)
@@ -520,6 +516,17 @@ func taskBounds(t *task.Task, o costmodel.Options) (bounds [3]float64, reach [3]
 	return bounds, reach
 }
 
+// clusterScratch is one batch worker's buffers for the cluster LP: the
+// task constants, the device grouping and the solver. Nothing in it
+// outlives the cluster being solved.
+type clusterScratch struct {
+	k      []p2Task
+	order  []int32
+	sorted []int32
+	devs   []p2Device
+	solver p2Solver
+}
+
 // solveClusterLP builds and solves the relaxation P2 for one cluster:
 //
 //	min  Σ E_ijl·x_ijl
@@ -529,111 +536,49 @@ func taskBounds(t *task.Task, o costmodel.Options) (bounds [3]float64, reach [3]
 //	     Σ_l x_ijl = 1                  (C4)
 //	     0 ≤ x_ijl ≤ 1                  (relaxed C5)
 //
-// Rows are built in sparse form: a C4 row has 3 nonzeros and a C2 row one
-// nonzero per task on that device, so build memory is linear in the
-// cluster size instead of O(rows × 3n).
-//
-// It returns the fractional assignment per task and the LP solution.
-func solveClusterLP(sys *mecnet.System, station int, cts []clusterTask, method lp.Method, ins obs.Instruments) ([][3]float64, *lp.Solution, error) {
+// with the structured solver (p2.go). The build groups the tasks by
+// device in sys.Cluster order (ascending device index), in arena order
+// within a device, the same list ClusterState keeps, and sorts each
+// device's two segment lists. The solution's x is indexed like cts.
+func (sc *clusterScratch) solveClusterLP(sys *mecnet.System, station int, cts []clusterTask, ins obs.Instruments) (*p2Solution, error) {
 	buildTimer := obs.StartTimer()
-	nVars := 3 * len(cts)
-	p := &lp.Problem{
-		Minimize: make([]float64, nVars),
-		Upper:    make([]float64, nVars),
-		Method:   method,
-	}
-
-	// reachable marks variables whose subsystem can serve the task at all;
-	// the infeasibility fallback below may only relax the deadline-derived
-	// bounds, never re-enable an unreachable subsystem.
-	reachable := make([]bool, nVars)
-	for i, ct := range cts {
-		bounds, reach := taskBounds(ct.t, ct.opts)
-		for li, l := range costmodel.Subsystems {
-			v := 3*i + li
-			p.Minimize[v] = float64(ct.opts.At(l).Energy)
-			p.Upper[v] = bounds[li]
-			reachable[v] = reach[li]
-		}
-	}
-
-	// C4: one equality row per task.
+	sc.k = sc.k[:0]
+	sc.order = sc.order[:0]
 	for i := range cts {
-		p.Constraints = append(p.Constraints, lp.Sparse(
-			[]int{3 * i, 3*i + 1, 3*i + 2}, []float64{1, 1, 1}, lp.EQ, 1))
+		sc.k = append(sc.k, newP2Task(cts[i].t, cts[i].opts))
+		sc.order = append(sc.order, int32(i))
 	}
-
-	// C2: one row per device that raises tasks in this cluster.
-	byDevice := make(map[int][]int)
-	for i, ct := range cts {
-		byDevice[ct.t.ID.User] = append(byDevice[ct.t.ID.User], i)
+	slices.SortStableFunc(sc.order, func(a, b int32) int {
+		return cmp.Compare(cts[a].t.ID.User, cts[b].t.ID.User)
+	})
+	if cap(sc.sorted) < 2*len(cts) {
+		sc.sorted = make([]int32, 0, 2*len(cts))
 	}
-	devices := make([]int, 0, len(byDevice))
-	for dev := range byDevice {
-		devices = append(devices, dev)
-	}
-	sort.Ints(devices)
-	for _, dev := range devices {
-		idxs := byDevice[dev]
-		cols := make([]int, len(idxs))
-		vals := make([]float64, len(idxs))
-		for k, i := range idxs {
-			cols[k] = 3 * i
-			vals[k] = cts[i].t.Resource
+	sorted := sc.sorted[:0]
+	sc.devs = sc.devs[:0]
+	k := sc.k
+	for start := 0; start < len(sc.order); {
+		dev := cts[sc.order[start]].t.ID.User
+		end := start + 1
+		for end < len(sc.order) && cts[sc.order[end]].t.ID.User == dev {
+			end++
 		}
-		p.Constraints = append(p.Constraints, lp.Sparse(
-			cols, vals, lp.LE, sys.Devices[dev].ResourceCap))
+		group := sc.order[start:end]
+		d := p2Device{cap: sys.Devices[dev].ResourceCap, tasks: group}
+		sorted, d.byKs = appendSegments(sorted, k, group, stationKey)
+		sorted, d.byKc = appendSegments(sorted, k, group, cloudKey)
+		sc.devs = append(sc.devs, d)
+		start = end
 	}
-
-	// C3: the station row.
-	cols := make([]int, len(cts))
-	vals := make([]float64, len(cts))
-	for i := range cts {
-		cols[i] = 3*i + 1
-		vals[i] = cts[i].t.Resource
-	}
-	p.Constraints = append(p.Constraints, lp.Sparse(
-		cols, vals, lp.LE, sys.Stations[station].ResourceCap))
 	ins.Histogram("lphta.stage_seconds.build", obs.TimeBuckets).Observe(buildTimer.Seconds())
 
 	solveTimer := obs.StartTimer()
-	sol, err := lp.SolveObserved(p, ins)
+	sol, err := sc.solver.solveCluster(k, sc.devs, sys.Stations[station].ResourceCap, station, len(cts), ins)
 	if err != nil {
-		return nil, nil, fmt.Errorf("relaxation: %w", err)
-	}
-	if sol.Status != lp.Optimal {
-		// The relaxation can only be infeasible when deadline bounds and
-		// caps conflict in ways the pre-cancellation did not remove; fall
-		// back to dropping the deadline-derived bounds (Step 4 repairs
-		// them) so every remaining task still gets a fractional placement.
-		// Zero bounds stay: they mark subsystems that cannot serve the
-		// task at all, and re-enabling them would let the rounding place a
-		// task somewhere it can never run.
-		ins.Counter("lphta.lp_fallbacks").Inc()
-		ins.Logger().Warn("lphta lp fallback: relaxing deadline-derived bounds",
-			"station", station,
-			"tasks", len(cts),
-			"status", sol.Status.String())
-		for v := range p.Upper {
-			if reachable[v] {
-				p.Upper[v] = 1
-			}
-		}
-		sol, err = lp.SolveObserved(p, ins)
-		if err != nil {
-			return nil, nil, fmt.Errorf("relaxation fallback: %w", err)
-		}
-		if sol.Status != lp.Optimal {
-			return nil, nil, fmt.Errorf("relaxation fallback: status %v", sol.Status)
-		}
+		return nil, err
 	}
 	ins.Histogram("lphta.stage_seconds.solve", obs.TimeBuckets).Observe(solveTimer.Seconds())
-
-	frac := make([][3]float64, len(cts))
-	for i := range cts {
-		frac[i] = [3]float64{sol.X[3*i], sol.X[3*i+1], sol.X[3*i+2]}
-	}
-	return frac, sol, nil
+	return sol, nil
 }
 
 // isIntegral reports whether a fractional task assignment is already 0/1.

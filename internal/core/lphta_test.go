@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dsmec/internal/costmodel"
-	"dsmec/internal/lp"
 	"dsmec/internal/obs"
 	"dsmec/internal/rng"
 	"dsmec/internal/task"
@@ -338,7 +337,7 @@ func TestLPHTAParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	if seq.LPObjective != par.LPObjective || seq.RoundedEnergy != par.RoundedEnergy ||
-		seq.Delta != par.Delta || seq.LPIterations != par.LPIterations ||
+		seq.Delta != par.Delta ||
 		seq.FractionalTasks != par.FractionalTasks || seq.PreCancelled != par.PreCancelled {
 		t.Errorf("parallel result differs from sequential:\nseq %+v\npar %+v", seq, par)
 	}
@@ -404,10 +403,12 @@ func TestLPHTAFallbackKeepsUnreachableBounds(t *testing.T) {
 		{t: simpleTask(0, 0, 500*units.Kilobyte, 2, 2*units.Second), opts: opts},
 		{t: simpleTask(0, 1, 500*units.Kilobyte, 2, 2*units.Second), opts: opts},
 	}
-	frac, _, err := solveClusterLP(sys, 0, cts, lp.MethodAuto, obs.Instruments{})
+	sc := &clusterScratch{}
+	sol, err := sc.solveClusterLP(sys, 0, cts, obs.Instruments{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	frac := sol.x
 	for i := range cts {
 		if frac[i][1] != 0 {
 			t.Errorf("task %d: fallback placed fraction %g on the unreachable station",

@@ -95,8 +95,8 @@ type Problem struct {
 	Minimize    []float64
 	Constraints []Constraint
 	Upper       []float64
-	// Method selects the simplex implementation; the zero value
-	// (MethodAuto) resolves to the package default, MethodRevised.
+	// Method selects the simplex implementation; the zero value is
+	// MethodRevised.
 	Method Method
 }
 
@@ -152,7 +152,7 @@ func (p *Problem) Validate() error {
 		}
 	}
 	switch p.Method {
-	case MethodAuto, MethodRevised, MethodDense:
+	case MethodRevised, MethodDense:
 	default:
 		return fmt.Errorf("lp: invalid method %d", int(p.Method))
 	}
@@ -190,12 +190,8 @@ type Solution struct {
 	X          []float64
 	Objective  float64
 	Iterations int
-	// Method is the simplex implementation that produced the solution
-	// (never MethodAuto).
+	// Method is the simplex implementation that produced the solution.
 	Method Method
-	// Warm is set by Incremental.Resolve when the solve reused the
-	// previous optimal basis instead of starting from scratch.
-	Warm bool
 	// Stats breaks the solve down for observability.
 	Stats SolveStats
 }
@@ -217,10 +213,6 @@ type SolveStats struct {
 	// BlandSwitches counts escalations to Bland's rule after a
 	// degenerate run.
 	BlandSwitches int
-	// DualPivots counts the subset of Pivots driven by the dual simplex
-	// phase of a warm-started incremental re-solve (always 0 for cold
-	// solves).
-	DualPivots int
 	// ObjectiveInstalls counts reduced-cost row installations.
 	ObjectiveInstalls int
 	// Refactorizations counts basis LU refactorizations beyond the
@@ -263,7 +255,7 @@ func SolveObserved(p *Problem, ins obs.Instruments) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	method := p.Method.resolve()
+	method := p.Method
 	span := ins.Span.Child("lp.solve")
 	log := ins.Logger()
 	var (
@@ -320,7 +312,6 @@ func record(ins obs.Instruments, span *obs.Span, p *Problem, method Method, sol 
 	reg.Counter("lp.degenerate_pivots").Add(int64(st.DegeneratePivots))
 	reg.Counter("lp.ratio_test_ties").Add(int64(st.RatioTestTies))
 	reg.Counter("lp.bland_switches").Add(int64(st.BlandSwitches))
-	reg.Counter("lp.dual_pivots").Add(int64(st.DualPivots))
 	reg.Counter("lp.objective_installs").Add(int64(st.ObjectiveInstalls))
 	reg.Counter("lp.refactorizations").Add(int64(st.Refactorizations))
 	reg.Counter("lp.eta_vectors").Add(int64(st.EtaVectors))

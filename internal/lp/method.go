@@ -1,9 +1,6 @@
 package lp
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Method selects which simplex implementation Solve runs.
 //
@@ -12,8 +9,8 @@ import (
 // fallback after degenerate runs) and agree on status and objective; they
 // differ in how the basis is represented:
 //
-//   - MethodRevised (the default) keeps only an LU factorization of the
-//     m×m basis matrix, updated with product-form eta vectors and
+//   - MethodRevised (the zero value) keeps only an LU factorization of
+//     the m×m basis matrix, updated with product-form eta vectors and
 //     refactorized periodically. Iterations price the sparse constraint
 //     columns via BTRAN/FTRAN on the factors and never materialize the
 //     dense tableau, so a pivot costs O(m + nnz) instead of O(rows×cols).
@@ -22,19 +19,15 @@ import (
 //     implementation the cross-check suites compare against.
 type Method int
 
-// Solve methods. The zero value MethodAuto resolves to the package
-// default (revised; see SetDefaultMethod).
+// Solve methods.
 const (
-	MethodAuto Method = iota
-	MethodRevised
+	MethodRevised Method = iota
 	MethodDense
 )
 
 // String names the method.
 func (m Method) String() string {
 	switch m {
-	case MethodAuto:
-		return "auto"
 	case MethodRevised:
 		return "revised"
 	case MethodDense:
@@ -42,50 +35,4 @@ func (m Method) String() string {
 	default:
 		return fmt.Sprintf("Method(%d)", int(m))
 	}
-}
-
-// ParseMethod converts a CLI flag value into a Method.
-func ParseMethod(s string) (Method, error) {
-	switch s {
-	case "", "auto":
-		return MethodAuto, nil
-	case "revised":
-		return MethodRevised, nil
-	case "dense":
-		return MethodDense, nil
-	default:
-		return 0, fmt.Errorf("lp: unknown method %q (want auto, revised, or dense)", s)
-	}
-}
-
-// defaultMethod is what MethodAuto resolves to (revised unless
-// overridden). Stored as an int64 so harnesses may switch it at runtime.
-var defaultMethod atomic.Int64
-
-// SetDefaultMethod changes what MethodAuto resolves to, process-wide.
-// It exists for harnesses (cmd/mecbench) that build solver options deep
-// inside experiment definitions and cannot thread a method through every
-// call site — the same pattern obs.SetGlobal uses for metrics. Passing
-// MethodAuto restores the built-in default (revised).
-func SetDefaultMethod(m Method) {
-	if m != MethodDense && m != MethodRevised {
-		m = MethodAuto
-	}
-	defaultMethod.Store(int64(m))
-}
-
-// DefaultMethod returns what MethodAuto currently resolves to.
-func DefaultMethod() Method {
-	if m := Method(defaultMethod.Load()); m == MethodDense || m == MethodRevised {
-		return m
-	}
-	return MethodRevised
-}
-
-// resolve maps MethodAuto to the process default.
-func (m Method) resolve() Method {
-	if m == MethodAuto {
-		return DefaultMethod()
-	}
-	return m
 }

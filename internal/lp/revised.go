@@ -53,19 +53,6 @@ type rsimplex struct {
 	basis  []int       // basis[k] = column basic at position k
 	value  []float64   // value[k] = current value of basis[k]
 
-	// skipFixed, when set, excludes columns fixed at zero (upper bound 0)
-	// from pricing. A fixed column can never change the solution, but the
-	// cold path still prices it to stay iteration-for-iteration identical
-	// with the dense oracle; only the incremental warm path (which pins
-	// removed variables at zero instead of deleting them) sets this.
-	skipFixed bool
-
-	// colVar maps solver columns back to problem variables (-1 for
-	// slack/artificial columns). nil means the original prefix layout:
-	// variables are exactly columns [0, nStruct). Incremental solves
-	// materialize it once columns stop being a prefix.
-	colVar []int
-
 	lu   *luFactors
 	etas []etaVec
 	log  *obs.Logger // refactorization debug records (nil disables)
@@ -359,7 +346,6 @@ func (s *rsimplex) run(maxCol int) error {
 	// the inner dot product stays bounds-check free.
 	colPtr, colRow, colVal := s.colPtr, s.colRow, s.colVal
 	cost, status, y := s.cost, s.status, s.y
-	upper, skipFixed := s.upper, s.skipFixed
 
 	for iter := 0; iter < limit; iter++ {
 		s.btranCosts()
@@ -371,7 +357,7 @@ func (s *rsimplex) run(maxCol int) error {
 		if useBland {
 			for j := 0; j < maxCol; j++ {
 				st := status[j]
-				if st == basic || (skipFixed && upper[j] == 0) {
+				if st == basic {
 					continue
 				}
 				d := cost[j]
@@ -391,7 +377,7 @@ func (s *rsimplex) run(maxCol int) error {
 			best := eps
 			for j := 0; j < maxCol; j++ {
 				st := status[j]
-				if st == basic || (skipFixed && upper[j] == 0) {
+				if st == basic {
 					continue
 				}
 				d := cost[j]
@@ -532,9 +518,7 @@ func solveRevised(p *Problem, span *obs.Span, log *obs.Logger) (*Solution, error
 }
 
 // solveFull runs both phases on a freshly factorized solver and extracts
-// the solution. Incremental solves reuse it for the initial (cold) solve
-// and after any fallback rebuild, then keep the end state for
-// warm-started re-solves.
+// the solution.
 func (s *rsimplex) solveFull(minimize []float64, span *obs.Span, log *obs.Logger) (*Solution, error) {
 	artStart := s.artStart
 
@@ -600,41 +584,23 @@ func (s *rsimplex) solveFull(minimize []float64, span *obs.Span, log *obs.Logger
 	return &Solution{Status: Optimal, X: x, Objective: obj, Iterations: s.iterations, Stats: s.stats}, nil
 }
 
-// extract reads the current iterate into problem-variable space and
-// prices it with the given objective. With a nil colVar map the
-// structural variables are the column prefix [0, nStruct); otherwise
-// colVar translates grown column layouts back to variables.
+// extract reads the current iterate into problem-variable space (the
+// structural variables are the column prefix [0, nStruct)) and prices it
+// with the given objective.
 func (s *rsimplex) extract(minimize []float64) (x []float64, obj float64) {
 	x = make([]float64, len(minimize))
-	if s.colVar == nil {
-		for j := 0; j < s.nStruct; j++ {
-			if s.status[j] == atUpper {
-				x[j] = s.upper[j]
-			}
+	for j := 0; j < s.nStruct; j++ {
+		if s.status[j] == atUpper {
+			x[j] = s.upper[j]
 		}
-		for i, bcol := range s.basis {
-			if bcol < s.nStruct {
-				v := s.value[i]
-				if v < 0 && v > -1e-6 {
-					v = 0
-				}
-				x[bcol] = v
+	}
+	for i, bcol := range s.basis {
+		if bcol < s.nStruct {
+			v := s.value[i]
+			if v < 0 && v > -1e-6 {
+				v = 0
 			}
-		}
-	} else {
-		for j, v := range s.colVar {
-			if v >= 0 && s.status[j] == atUpper {
-				x[v] = s.upper[j]
-			}
-		}
-		for i, bcol := range s.basis {
-			if v := s.colVar[bcol]; v >= 0 {
-				val := s.value[i]
-				if val < 0 && val > -1e-6 {
-					val = 0
-				}
-				x[v] = val
-			}
+			x[bcol] = v
 		}
 	}
 	for j, c := range minimize {

@@ -10,8 +10,9 @@ import (
 
 // WritePrometheus renders a snapshot in the Prometheus text exposition
 // format (version 0.0.4). Metric names are sanitized — every character
-// outside [a-zA-Z0-9_:] becomes an underscore, so "lp.pivots" exposes as
-// "lp_pivots" — and emitted in sorted order so output is deterministic.
+// outside [a-zA-Z0-9_:] becomes an underscore, so "lp.price_evaluations"
+// exposes as "lp_price_evaluations" — and emitted in sorted order so
+// output is deterministic.
 // Histograms render the usual cumulative _bucket{le="..."} series plus
 // _sum and _count.
 func WritePrometheus(w io.Writer, s Snapshot) error {

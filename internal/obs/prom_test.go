@@ -7,7 +7,7 @@ import (
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("lp.pivots").Add(42)
+	r.Counter("lp.price_evaluations").Add(42)
 	r.Gauge("sim.queue_peak.dev.cpu").Set(3.5)
 	h := r.Histogram("lp.solve_seconds", []float64{0.001, 0.01, 0.1})
 	h.Observe(0.0005)
@@ -20,7 +20,7 @@ func TestWritePrometheus(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		"# TYPE lp_pivots counter\nlp_pivots 42\n",
+		"# TYPE lp_price_evaluations counter\nlp_price_evaluations 42\n",
 		"# TYPE sim_queue_peak_dev_cpu gauge\nsim_queue_peak_dev_cpu 3.5\n",
 		"# TYPE lp_solve_seconds histogram\n",
 		`lp_solve_seconds_bucket{le="0.001"} 1`,
@@ -58,10 +58,10 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 
 func TestPromName(t *testing.T) {
 	cases := map[string]string{
-		"lp.pivots":        "lp_pivots",
-		"sim.busy-seconds": "sim_busy_seconds",
-		"9lives":           "_9lives",
-		"ok_name:sub":      "ok_name:sub",
+		"lp.price_evaluations": "lp_price_evaluations",
+		"sim.busy-seconds":     "sim_busy_seconds",
+		"9lives":               "_9lives",
+		"ok_name:sub":          "ok_name:sub",
 	}
 	for in, want := range cases {
 		if got := promName(in); got != want {

@@ -26,7 +26,7 @@ func get(t *testing.T, base, path string) (int, string, string) {
 
 func TestHandlerEndpoints(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("lp.pivots").Add(7)
+	reg.Counter("lp.price_evaluations").Add(7)
 	reg.Histogram("lp.solve_seconds", TimeBuckets).Observe(0.002)
 	m := NewManifest("mecsim", []string{"-tasks", "10"})
 	m.SetSeed(42)
@@ -42,7 +42,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	if !strings.HasPrefix(ctype, "text/plain") || !strings.Contains(ctype, "version=0.0.4") {
 		t.Errorf("/metrics content type %q", ctype)
 	}
-	if !strings.Contains(body, "lp_pivots 7") || !strings.Contains(body, "lp_solve_seconds_bucket") {
+	if !strings.Contains(body, "lp_price_evaluations 7") || !strings.Contains(body, "lp_solve_seconds_bucket") {
 		t.Errorf("/metrics body:\n%s", body)
 	}
 
@@ -54,7 +54,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &snap); err != nil {
 		t.Fatalf("/metrics.json not a Snapshot: %v", err)
 	}
-	if snap.Counters["lp.pivots"] != 7 || snap.Histograms["lp.solve_seconds"].Count != 1 {
+	if snap.Counters["lp.price_evaluations"] != 7 || snap.Histograms["lp.solve_seconds"].Count != 1 {
 		t.Errorf("/metrics.json snapshot = %+v", snap)
 	}
 
@@ -75,7 +75,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	if live.Tool != "mecsim" || live.Seed != 42 || !live.Live || live.Extra["note"] != "live" {
 		t.Errorf("/manifest view = %+v", live)
 	}
-	if live.Metrics.Counters["lp.pivots"] != 7 {
+	if live.Metrics.Counters["lp.price_evaluations"] != 7 {
 		t.Errorf("/manifest metrics = %+v", live.Metrics)
 	}
 

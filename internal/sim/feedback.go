@@ -23,13 +23,6 @@ type FeedbackOptions struct {
 	// relative to its real deadline (default 8: plan as if the deadline
 	// were up to 8x tighter).
 	MaxTightening float64
-	// Incremental replans rounds ≥ 1 through warm per-station cluster
-	// states (core.ClusterState) instead of rebuilding every cluster LP
-	// from scratch: each round pushes only the deadline changes since the
-	// previous round and re-solves only the clusters those changes
-	// touched, warm-starting from the previous optimal basis. Requires
-	// the revised LP method (the default).
-	Incremental bool
 	// Obs selects where metrics and trace spans are recorded; the
 	// planner and simulator stages inherit it per round.
 	Obs obs.Instruments
@@ -153,15 +146,6 @@ func PlanWithFeedback(m *costmodel.Model, ts *task.Set, opts FeedbackOptions) (*
 		tighten[i] = 1
 	}
 
-	var fc *feedbackClusters
-	if opts.Incremental {
-		lpOpts := opts.LPHTA
-		lpOpts.Obs.Span = span
-		if fc, err = newFeedbackClusters(m, ts, lpOpts); err != nil {
-			return nil, fmt.Errorf("sim: feedback incremental setup: %w", err)
-		}
-	}
-
 	for round := 1; round <= opts.Rounds; round++ {
 		roundSpan := span.Child(fmt.Sprintf("feedback.round%d", round))
 		opts.LPHTA.Obs.Span = roundSpan
@@ -182,27 +166,20 @@ func PlanWithFeedback(m *costmodel.Model, ts *task.Set, opts FeedbackOptions) (*
 			}
 		}
 
-		var replanned *core.Assignment
-		if fc != nil {
-			if replanned, err = fc.replan(ts, tighten); err != nil {
+		adjusted := &task.Set{}
+		adjusted.Grow(ts.Len())
+		for i := 0; i < ts.Len(); i++ {
+			copyT := *ts.At(i)
+			copyT.Deadline /= units.Duration(tighten[i])
+			if err := adjusted.Add(&copyT); err != nil {
 				return nil, fmt.Errorf("sim: feedback round %d: %w", round, err)
 			}
-		} else {
-			adjusted := &task.Set{}
-			adjusted.Grow(ts.Len())
-			for i := 0; i < ts.Len(); i++ {
-				copyT := *ts.At(i)
-				copyT.Deadline /= units.Duration(tighten[i])
-				if err := adjusted.Add(&copyT); err != nil {
-					return nil, fmt.Errorf("sim: feedback round %d: %w", round, err)
-				}
-			}
-			batch, err := core.LPHTA(m, adjusted, &opts.LPHTA)
-			if err != nil {
-				return nil, fmt.Errorf("sim: feedback round %d: %w", round, err)
-			}
-			replanned = batch.Assignment
 		}
+		batch, err := core.LPHTA(m, adjusted, &opts.LPHTA)
+		if err != nil {
+			return nil, fmt.Errorf("sim: feedback round %d: %w", round, err)
+		}
+		replanned := batch.Assignment
 		simRes, err = record(replanned)
 		roundSpan.End()
 		if err != nil {
@@ -221,87 +198,4 @@ func PlanWithFeedback(m *costmodel.Model, ts *task.Set, opts FeedbackOptions) (*
 	span.Annotate("best_round", res.Best)
 	span.Annotate("rounds", len(res.Rounds))
 	return res, nil
-}
-
-// feedbackClusters carries one warm ClusterState per station across
-// feedback rounds, plus each station's last result, so a round only
-// re-solves the clusters whose planning deadlines actually changed.
-type feedbackClusters struct {
-	states  []*core.ClusterState // indexed by station; nil = no tasks there
-	results []*core.ClusterResult
-	dirty   []bool
-	station []int     // per arena index: the task's station
-	applied []float64 // per arena index: tightening currently in the states
-}
-
-// newFeedbackClusters streams every task into its station's ClusterState
-// with its original deadline. The first replan solves each cluster cold;
-// later rounds warm-start.
-func newFeedbackClusters(m *costmodel.Model, ts *task.Set, lpOpts core.LPHTAOptions) (*feedbackClusters, error) {
-	sys := m.System()
-	fc := &feedbackClusters{
-		states:  make([]*core.ClusterState, sys.NumStations()),
-		results: make([]*core.ClusterResult, sys.NumStations()),
-		dirty:   make([]bool, sys.NumStations()),
-		station: make([]int, ts.Len()),
-		applied: make([]float64, ts.Len()),
-	}
-	for i := 0; i < ts.Len(); i++ {
-		t := ts.At(i)
-		st, err := sys.StationOf(t.ID.User)
-		if err != nil {
-			return nil, err
-		}
-		fc.station[i] = st
-		fc.applied[i] = 1
-		if fc.states[st] == nil {
-			cs, err := core.NewClusterState(m, st, &lpOpts)
-			if err != nil {
-				return nil, err
-			}
-			fc.states[st] = cs
-			fc.dirty[st] = true
-		}
-		if err := fc.states[st].AddTask(*t); err != nil {
-			return nil, err
-		}
-	}
-	return fc, nil
-}
-
-// replan pushes the tightening deltas since the previous round into the
-// cluster states, re-solves only the dirtied clusters, and assembles the
-// full assignment from the per-cluster results.
-func (fc *feedbackClusters) replan(ts *task.Set, tighten []float64) (*core.Assignment, error) {
-	for i := 0; i < ts.Len(); i++ {
-		//meclint:allow(floatcmp) unchanged factors are bit-identical copies, not computed values
-		if tighten[i] == fc.applied[i] {
-			continue
-		}
-		t := ts.At(i)
-		d := t.Deadline / units.Duration(tighten[i])
-		if err := fc.states[fc.station[i]].SetDeadline(t.ID, d); err != nil {
-			return nil, err
-		}
-		fc.applied[i] = tighten[i]
-		fc.dirty[fc.station[i]] = true
-	}
-	a := core.NewAssignment(ts)
-	for st, cs := range fc.states {
-		if cs == nil {
-			continue
-		}
-		if fc.dirty[st] {
-			res, err := cs.Solve()
-			if err != nil {
-				return nil, err
-			}
-			fc.results[st] = res
-			fc.dirty[st] = false
-		}
-		for _, p := range fc.results[st].Placements {
-			a.Place(p.ID, p.Level)
-		}
-	}
-	return a, nil
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dsmec/internal/core"
-	"dsmec/internal/lp"
 	"dsmec/internal/rng"
 	"dsmec/internal/workload"
 )
@@ -107,54 +106,5 @@ func TestPlanWithFeedbackRespectsConstraints(t *testing.T) {
 	// real-deadline feasibility still holds).
 	if err := core.CheckFeasible(sc.Model, sc.Tasks, res.Assignment); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPlanWithFeedbackIncrementalMatchesBatch(t *testing.T) {
-	// The warm incremental replan path must reproduce the batch replan
-	// path round for round: same assignments, same stats, same winner.
-	for _, seed := range []int64{31, 34, 35} {
-		sc, err := workload.GenerateHolistic(rng.NewSource(seed), workload.Params{
-			NumDevices: 16, NumStations: 3, NumTasks: 90,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch, err := PlanWithFeedback(sc.Model, sc.Tasks, FeedbackOptions{Rounds: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, err := PlanWithFeedback(sc.Model, sc.Tasks, FeedbackOptions{Rounds: 3, Incremental: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(warm.Rounds) != len(batch.Rounds) {
-			t.Fatalf("seed %d: %d rounds vs batch %d", seed, len(warm.Rounds), len(batch.Rounds))
-		}
-		for r := range batch.Rounds {
-			if warm.Rounds[r] != batch.Rounds[r] {
-				t.Errorf("seed %d round %d: stats %+v, batch %+v", seed, r, warm.Rounds[r], batch.Rounds[r])
-			}
-		}
-		if warm.Best != batch.Best {
-			t.Errorf("seed %d: best round %d, batch %d", seed, warm.Best, batch.Best)
-		}
-		if !warm.Assignment.Equal(batch.Assignment) {
-			t.Errorf("seed %d: incremental assignment differs from batch", seed)
-		}
-	}
-}
-
-func TestPlanWithFeedbackIncrementalRejectsDense(t *testing.T) {
-	sc, err := workload.GenerateHolistic(rng.NewSource(36), workload.Params{
-		NumDevices: 4, NumStations: 1, NumTasks: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := FeedbackOptions{Rounds: 1, Incremental: true}
-	opts.LPHTA.LPMethod = lp.MethodDense
-	if _, err := PlanWithFeedback(sc.Model, sc.Tasks, opts); err == nil {
-		t.Error("incremental feedback with the dense LP method should fail")
 	}
 }

@@ -24,14 +24,14 @@ func TestParseBudgetsRejectsMalformedFiles(t *testing.T) {
 		"empty list":      {`{"budgets": []}`, "no budgets"},
 		"missing list":    {`{}`, "no budgets"},
 		"unnamed budget":  {`{"budgets": [{"max": 1}]}`, "empty metric name"},
-		"unbounded":       {`{"budgets": [{"metric": "lp.pivots"}]}`, "neither min nor max"},
+		"unbounded":       {`{"budgets": [{"metric": "lp.price_evaluations"}]}`, "neither min nor max"},
 		"unknown metric":  {`{"budgets": [{"metric": "no.such.metric", "min": 1}]}`, "unknown metric"},
 		"unknown root":    {`{"budgets": [{"metric": "lq.pivots", "max": 1}]}`, "unknown metric"},
 		"bare root":       {`{"budgets": [{"metric": "sim", "max": 1}]}`, "unknown metric"},
 		"trailing dot":    {`{"budgets": [{"metric": "sim.", "max": 1}]}`, "unknown metric"},
-		"negative max":    {`{"budgets": [{"metric": "lp.pivots", "max": -1}]}`, "negative max"},
+		"negative max":    {`{"budgets": [{"metric": "lp.price_evaluations", "max": -1}]}`, "negative max"},
 		"negative min":    {`{"budgets": [{"metric": "goodput", "min": -0.5}]}`, "negative min"},
-		"inverted bounds": {`{"budgets": [{"metric": "lp.pivots", "min": 10, "max": 5}]}`, "max 5 < min 10"},
+		"inverted bounds": {`{"budgets": [{"metric": "lp.price_evaluations", "min": 10, "max": 5}]}`, "max 5 < min 10"},
 	}
 	for name, tc := range cases {
 		_, err := ParseBudgets([]byte(tc.doc), "budgets.json")
@@ -60,7 +60,7 @@ func TestParseBudgetsRejectsMalformedFiles(t *testing.T) {
 
 func TestParseBudgetsAcceptsValidFiles(t *testing.T) {
 	budgets, err := ParseBudgets([]byte(`{"budgets": [
-		{"metric": "lp.pivots", "max": 500000},
+		{"metric": "lp.price_evaluations", "max": 500000},
 		{"metric": "sim.deadline_misses.fault", "max": 3},
 		{"metric": "miss_rate.capacity", "max": 0.25},
 		{"metric": "goodput", "min": 0.6},
@@ -104,13 +104,13 @@ func TestDerivedMetricCatalog(t *testing.T) {
 
 func TestCheckBudgetsViolationRecords(t *testing.T) {
 	m := &obs.Manifest{Metrics: obs.Snapshot{
-		Counters: map[string]int64{"lp.pivots": 612},
+		Counters: map[string]int64{"lp.price_evaluations": 612},
 		Gauges:   map[string]float64{"sim.utilization.st.cpu": 0.25},
 	}}
 	maxPivots, minUtil := 500.0, 0.5
 	var out strings.Builder
 	vs := CheckBudgets([]Budget{
-		{Metric: "lp.pivots", Max: &maxPivots},
+		{Metric: "lp.price_evaluations", Max: &maxPivots},
 		{Metric: "sim.utilization.st.cpu", Min: &minUtil},
 		{Metric: "lp.no_such_counter", Min: &minUtil},
 	}, ManifestResolver(m), &out)
@@ -119,7 +119,7 @@ func TestCheckBudgetsViolationRecords(t *testing.T) {
 	}
 	// The exact JSON shape is load-bearing: CI wrappers parse these lines.
 	for _, want := range []string{
-		`{"budget":"lp.pivots","kind":"max","limit":500,"actual":612,"margin":112}`,
+		`{"budget":"lp.price_evaluations","kind":"max","limit":500,"actual":612,"margin":112}`,
 		`{"budget":"sim.utilization.st.cpu","kind":"min","limit":0.5,"actual":0.25,"margin":0.25}`,
 		`{"budget":"lp.no_such_counter","kind":"missing"}`,
 	} {

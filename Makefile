@@ -1,9 +1,10 @@
 # Development targets. `make verify` is the pre-commit gate: formatting,
 # vet, build, the full test suite under the race detector, a
 # single-iteration benchmark smoke run so the perf harness can't rot, a
-# few seconds of fuzzing the scenario decoder and the cluster solver, the meclint
-# static-analysis suite (which includes the docs and links checks — see
-# docs/LINTING.md), staticcheck when fetchable, a mecstat smoke over its
+# few seconds of fuzzing the scenario decoder, the cluster solver and the
+# data-division matcher, the meclint static-analysis suite (which
+# includes the docs and links checks — see docs/LINTING.md),
+# staticcheck when fetchable, a mecstat smoke over its
 # committed fixtures, a mecd service smoke that boots the daemon on a
 # loopback port and drives one arrival/assign/departure cycle through
 # the live HTTP API, and the e2ebench module's own tests.
@@ -73,22 +74,26 @@ bench-go:
 # 100k-device scenario encoded and decoded under a pinned B/op budget,
 # and the sha256 of the repository benchmark's three seed-1 documents
 # (see internal/scenarioio/largescale_test.go). The third checks the
-# structured cluster solver against the revised simplex on every cluster
-# of the benchmark's generated workloads (internal/core p2_test.go).
+# structured cluster solver against the dense-tableau simplex on every
+# cluster of the benchmark's generated workloads (internal/core
+# p2_test.go).
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 	MEC_LARGE_SMOKE=1 $(GO) test -run 'TestLargeScenarioMemoryBudget|TestReferenceHashes' ./internal/scenarioio/
 	MEC_LARGE_SMOKE=1 $(GO) test -run TestLPHTAStructuredMatchesSimplex ./internal/core/
 
 # A few seconds of native fuzzing per target: the scenario decoder
-# against its encoding/json oracle (internal/scenarioio FuzzDecode), and
-# the structured cluster-relaxation solver against the revised simplex
-# (internal/core FuzzClusterRelaxation). `go test -fuzz` runs one target
-# per invocation. A crasher lands in the package's testdata/fuzz/<target>
-# directory; commit it as a regression case.
+# against its encoding/json oracle (internal/scenarioio FuzzDecode), the
+# structured cluster-relaxation solver against the dense-tableau simplex
+# (internal/core FuzzClusterRelaxation), and the exact P3 matcher against
+# the greedies, the counting bound and exhaustive search (internal/cover
+# FuzzOptimalMaxLoad). `go test -fuzz` runs one target per invocation. A
+# crasher lands in the package's testdata/fuzz/<target> directory; commit
+# it as a regression case.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime 5s ./internal/scenarioio/
 	$(GO) test -run xxx -fuzz FuzzClusterRelaxation -fuzztime 5s ./internal/core/
+	$(GO) test -run xxx -fuzz FuzzOptimalMaxLoad -fuzztime 5s ./internal/cover/
 
 # The repository benchmark is its own module (e2ebench/go.mod), so
 # `go test ./...` at the root never reaches it. This runs its tests

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"dsmec"
-	"dsmec/internal/lp"
-	"dsmec/internal/rng"
 )
 
 // benchExperiment runs one registered experiment per iteration. Quick mode
@@ -153,47 +151,6 @@ func BenchmarkCostModelEval(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := sc.Model.Eval(&tasks[i%len(tasks)]); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLPSolve measures the bounded-variable simplex on an LP shaped
-// exactly like a P2 cluster relaxation with ~90 tasks (270 variables).
-func BenchmarkLPSolve(b *testing.B) {
-	r := rng.NewSource(5).Stream("bench-lp")
-	const tasks = 90
-	n := 3 * tasks
-	p := &lp.Problem{
-		Minimize: make([]float64, n),
-		Upper:    make([]float64, n),
-	}
-	for t := 0; t < tasks; t++ {
-		base := rng.Uniform(r, 1, 10)
-		p.Minimize[3*t] = base
-		p.Minimize[3*t+1] = base * rng.Uniform(r, 2, 4)
-		p.Minimize[3*t+2] = base * rng.Uniform(r, 4, 8)
-		for l := 0; l < 3; l++ {
-			p.Upper[3*t+l] = rng.Uniform(r, 0.5, 1)
-		}
-		row := make([]float64, n)
-		row[3*t], row[3*t+1], row[3*t+2] = 1, 1, 1
-		p.Constraints = append(p.Constraints, lp.Constraint{Coeffs: row, Sense: lp.EQ, RHS: 1})
-	}
-	capRow := make([]float64, n)
-	for t := 0; t < tasks; t++ {
-		capRow[3*t+1] = rng.Uniform(r, 1, 4)
-	}
-	p.Constraints = append(p.Constraints, lp.Constraint{Coeffs: capRow, Sense: lp.LE, RHS: 40})
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := lp.Solve(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if s.Status != lp.Optimal {
-			b.Fatalf("status %v", s.Status)
 		}
 	}
 }

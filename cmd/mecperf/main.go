@@ -33,7 +33,6 @@ import (
 
 	"dsmec/internal/core"
 	"dsmec/internal/experiment"
-	"dsmec/internal/lp"
 	"dsmec/internal/obs"
 	"dsmec/internal/perfbench"
 	"dsmec/internal/scenarioio"
@@ -110,11 +109,9 @@ func run() error {
 		logger.Info("obs server listening", "url", srv.URL())
 	}
 
-	lpBuildTasks, lpSolveTasks, htaTasks, simTasks := 300, 90, 450, 450
-	methodTasks := []int{150, 300, 600}
+	htaTasks, simTasks := 450, 450
 	if *quick {
-		lpBuildTasks, lpSolveTasks, htaTasks, simTasks = 90, 30, 100, 100
-		methodTasks = []int{30, 90}
+		htaTasks, simTasks = 100, 100
 	}
 
 	doc := baseline{
@@ -126,13 +123,10 @@ func run() error {
 		NumCPU:      runtime.NumCPU(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Notes: []string{
-			"lp build/solve compare dense vs sparse constraint rows on identical instances",
-			"lp_solve method=dense/revised compare the tableau oracle against the LU-factorized revised simplex",
 			"lphta compares Parallelism=1 vs one worker per core on the same scenario; outputs are byte-identical",
-			"sim_engine shards=N rows replay the same assignment with an explicit event-heap shard count; outputs are byte-identical",
 			"scenario_decode and scenario_encode read and write the canonical scenario document through the hand-written scenarioio codec (byte-scanning decoder, direct encoder)",
 			"the stations=N lphta row uses a production-shaped topology (many stations, moderate clusters)",
-			"lphta rows solve each cluster relaxation with the structured P2 solver; lp_* rows measure internal/lp, which LP-HTA no longer calls",
+			"lphta rows solve each cluster relaxation with the structured P2 solver",
 			"sweep compares mecbench-style experiment wall-clock, sequential vs parallel pipeline: each side repeats until it has run for at least 1 s and records its median run",
 			"parallel speedups require multiple cores; on a single-core machine they measure pool overhead only",
 		},
@@ -150,58 +144,6 @@ func run() error {
 		fmt.Printf("%-40s %12.0f ns/op %10d B/op %8d allocs/op\n",
 			name, doc.Benchmarks[len(doc.Benchmarks)-1].NsPerOp,
 			r.AllocedBytesPerOp(), r.AllocsPerOp())
-	}
-
-	// LP constraint build: the sparse-row memory win.
-	for _, sparse := range []bool{false, true} {
-		form := map[bool]string{false: "dense", true: "sparse"}[sparse]
-		record(fmt.Sprintf("lp_build/tasks=%d/%s", lpBuildTasks, form), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p := perfbench.ClusterLP(lpBuildTasks, sparse)
-				if len(p.Constraints) == 0 {
-					b.Fatal("empty problem")
-				}
-			}
-		})
-	}
-
-	// LP solve: build + tableau lowering + simplex.
-	for _, sparse := range []bool{false, true} {
-		form := map[bool]string{false: "dense", true: "sparse"}[sparse]
-		record(fmt.Sprintf("lp_solve/tasks=%d/%s", lpSolveTasks, form), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s, err := lp.Solve(perfbench.ClusterLP(lpSolveTasks, sparse))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if s.Status != lp.Optimal {
-					b.Fatalf("status %v", s.Status)
-				}
-			}
-		})
-	}
-
-	// LP solve by simplex implementation: the dense tableau oracle vs the
-	// LU-factorized revised simplex, on identical sparse-row instances.
-	for _, tasks := range methodTasks {
-		for _, method := range []lp.Method{lp.MethodDense, lp.MethodRevised} {
-			record(fmt.Sprintf("lp_solve/tasks=%d/method=%s", tasks, method), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					p := perfbench.ClusterLP(tasks, true)
-					p.Method = method
-					s, err := lp.Solve(p)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if s.Status != lp.Optimal {
-						b.Fatalf("status %v", s.Status)
-					}
-				}
-			})
-		}
 	}
 
 	// LP-HTA: sequential vs one worker per core.
@@ -241,19 +183,6 @@ func run() error {
 			}
 		}
 	})
-
-	// DES engine at explicit shard counts: per-station event heaps are a
-	// locality/allocation layout, so B/op must hold at every count.
-	for _, shards := range []int{1, 4, 8} {
-		record(fmt.Sprintf("sim_engine/tasks=%d/shards=%d", simTasks, shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(simSc.Model, simSc.Tasks, assign, sim.Config{Shards: shards}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 
 	// Scenario I/O: the codec over the canonical document, both ways.
 	docBytes, err := perfbench.ScenarioDocument(simTasks)

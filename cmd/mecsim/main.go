@@ -109,7 +109,6 @@ func run(args []string, stdout io.Writer) error {
 		simulate    = fs.Bool("sim", true, "replay the LP-HTA assignment in the discrete-event simulator")
 		load        = fs.String("load", "", "load a scenario JSON document instead of generating one")
 		parallel    = fs.Int("parallel", 0, "LP-HTA cluster worker count (0 = GOMAXPROCS, 1 = sequential); results are identical for any value")
-		shards      = fs.Int("shards", 0, "simulator event-heap shard count (0 = auto); output is byte-identical for any value")
 		metricsPath = fs.String("metrics", "", "write a run manifest (metrics + environment) to this JSON file")
 		tracePath   = fs.String("trace", "", "write a Chrome trace_event JSON to this file")
 		faults      = fs.Bool("faults", false, "inject seeded faults (station outages, device churn, link degradation) into the simulator replay")
@@ -163,7 +162,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	runErr := runScenario(instr, *load, *seed, *devices, *stations, *tasks, *inputKB,
-		*parallel, *shards, *divisible, *simulate, *faults, *faultSeed, stdout)
+		*parallel, *divisible, *simulate, *faults, *faultSeed, stdout)
 	if instr.enabled() {
 		if err := finishInstrumentation(instr, stdout); err != nil && runErr == nil {
 			runErr = err
@@ -175,7 +174,7 @@ func run(args []string, stdout io.Writer) error {
 // runScenario executes the selected pipeline under the (possibly nil)
 // instrumentation bundle.
 func runScenario(instr *instrumentation, load string, seed int64,
-	devices, stations, tasks, inputKB, parallel, shards int,
+	devices, stations, tasks, inputKB, parallel int,
 	divisible, simulate, faults bool, faultSeed int64, stdout io.Writer) error {
 	if load != "" {
 		f, err := os.Open(load)
@@ -215,7 +214,7 @@ func runScenario(instr *instrumentation, load string, seed int64,
 			// No plan embedded in the document: draw one for its topology.
 			fp = dsmec.GenerateFaultPlan(dsmec.NewSeed(faultSeed), sc.System, dsmec.DefaultFaultParams())
 		}
-		return runHolisticScenario(sc, parallel, shards, simulate, fp, instr, stdout)
+		return runHolisticScenario(sc, parallel, simulate, fp, instr, stdout)
 	}
 
 	params := dsmec.WorkloadParams{
@@ -257,10 +256,10 @@ func runScenario(instr *instrumentation, load string, seed int64,
 	if faults {
 		fp = dsmec.GenerateFaultPlan(dsmec.NewSeed(faultSeed), sc.System, dsmec.DefaultFaultParams())
 	}
-	return runHolisticScenario(sc, parallel, shards, simulate, fp, instr, stdout)
+	return runHolisticScenario(sc, parallel, simulate, fp, instr, stdout)
 }
 
-func runHolisticScenario(sc *dsmec.Scenario, parallel, shards int,
+func runHolisticScenario(sc *dsmec.Scenario, parallel int,
 	simulate bool, fp *dsmec.FaultPlan, instr *instrumentation, stdout io.Writer) error {
 	ins := instr.ins()
 	fmt.Fprintf(stdout, "scenario: %d devices, %d stations, %d holistic tasks\n\n",
@@ -311,7 +310,7 @@ func runHolisticScenario(sc *dsmec.Scenario, parallel, shards int,
 		return nil
 	}
 	simRes, err := dsmec.Simulate(sc.Model, sc.Tasks, lph.Assignment,
-		dsmec.SimConfig{Obs: ins, Faults: fp, Shards: shards})
+		dsmec.SimConfig{Obs: ins, Faults: fp})
 	if err != nil {
 		return err
 	}

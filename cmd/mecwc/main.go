@@ -9,7 +9,7 @@
 //	mecwc -class ci-smoke              # one class (the CI gate)
 //	mecwc -list                        # show the corpus
 //	mecwc -class ci-smoke -report wc.jsonl
-//	mecwc -parallel 4 -shards 8        # identical verdicts at any value
+//	mecwc -parallel 4                  # identical verdicts at any value
 //
 // A machine class is a directory workload-checks/<class>/ holding a
 // machine.json (population scale + description) and cases/<case>/
@@ -20,7 +20,7 @@
 // total_energy_joules, alloc_bytes_per_task, ...) are listed in
 // docs/WORKLOAD_CHECKS.md.
 //
-// Stdout is byte-identical for any -parallel / -shards value: only the
+// Stdout is byte-identical for any -parallel value: only the
 // -report JSONL carries run-dependent clocks and allocation figures.
 //
 // Exit codes: 0 all cases pass, 1 budget violation or runtime failure,
@@ -135,7 +135,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		list       = fs.Bool("list", false, "list the corpus and exit")
 		reportPath = fs.String("report", "", "write one JSON record per case (plus a summary) to this JSONL file")
 		parallel   = fs.Int("parallel", 0, "LP-HTA cluster worker count (0 = GOMAXPROCS); verdicts are identical for any value")
-		shards     = fs.Int("shards", 0, "simulator event-heap shard count (0 = auto); verdicts are identical for any value")
 		logLevel   = fs.String("log-level", "warn", "structured log level on stderr: debug, info, warn, error, or off")
 		logFormat  = fs.String("log-format", "text", "structured log encoding: text or json")
 	)
@@ -180,7 +179,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 		var failures []failure
 		for _, c := range cl.Cases {
-			res, err := runCase(c, cl.Config, *parallel, *shards)
+			res, err := runCase(c, cl.Config, *parallel)
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", cl.Name, c.Name, err)
 			}
@@ -381,7 +380,7 @@ func (r *caseResult) record(class string, c workCase) map[string]any {
 // runCase drives one case through the full pipeline: scenario (recipe
 // generation or committed document) → LP-HTA → feasibility check →
 // discrete-event replay with the case's fault plan → budget evaluation.
-func runCase(c workCase, cfg machineConfig, parallel, shards int) (*caseResult, error) {
+func runCase(c workCase, cfg machineConfig, parallel int) (*caseResult, error) {
 	var allocBefore runtime.MemStats
 	runtime.ReadMemStats(&allocBefore)
 
@@ -405,7 +404,7 @@ func runCase(c workCase, cfg machineConfig, parallel, shards int) (*caseResult, 
 		return nil, fmt.Errorf("LP-HTA produced an infeasible assignment: %w", err)
 	}
 	simRes, err := dsmec.Simulate(sc.Model, sc.Tasks, lph.Assignment,
-		dsmec.SimConfig{Obs: ins, Faults: fp, Shards: shards})
+		dsmec.SimConfig{Obs: ins, Faults: fp})
 	if err != nil {
 		return nil, err
 	}

@@ -35,8 +35,8 @@ func writeCorpus(t *testing.T, files map[string]string) string {
 const tinyMachine = `{"description": "test class", "devices": 10, "stations": 2, "tasks": 30, "input_kb": 3000}`
 
 // TestCorpusDeterministicAcrossParallelism pins the runner-level
-// determinism contract: stdout is byte-identical for any -parallel and
-// -shards value over the committed corpus.
+// determinism contract: stdout is byte-identical for any -parallel
+// value over the committed corpus.
 func TestCorpusDeterministicAcrossParallelism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full corpus run")
@@ -44,13 +44,13 @@ func TestCorpusDeterministicAcrossParallelism(t *testing.T) {
 	outputs := make([]string, 0, 3)
 	for _, n := range []string{"1", "2", "8"} {
 		var out strings.Builder
-		if err := run([]string{"-root", corpusRoot, "-parallel", n, "-shards", n}, &out); err != nil {
+		if err := run([]string{"-root", corpusRoot, "-parallel", n}, &out); err != nil {
 			t.Fatalf("-parallel %s: %v\n%s", n, err, out.String())
 		}
 		outputs = append(outputs, out.String())
 	}
 	if outputs[0] != outputs[1] || outputs[0] != outputs[2] {
-		t.Error("stdout differs across -parallel/-shards values")
+		t.Error("stdout differs across -parallel values")
 	}
 	if !strings.Contains(outputs[0], "class ci-smoke") || !strings.Contains(outputs[0], "class edge-1k") {
 		t.Errorf("corpus output missing expected classes:\n%s", outputs[0])

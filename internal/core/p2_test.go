@@ -23,7 +23,7 @@ const (
 	outcomeError    = "error"
 )
 
-// simplexP2 solves the cluster relaxation with the revised simplex over
+// simplexP2 solves the cluster relaxation with the dense-tableau simplex over
 // the same constants, applying LP-HTA's fallback. Every task in k must
 // appear in devs. It is the oracle the structured solver is checked
 // against.
@@ -249,7 +249,7 @@ func clusterTasks(t *testing.T, m *costmodel.Model, ts *task.Set) [][]clusterTas
 }
 
 // TestLPHTAStructuredMatchesSimplex checks the structured solver against
-// the revised simplex on every sampled cluster of the generated
+// the dense-tableau simplex on every sampled cluster of the generated
 // instances: the same outcome, objectives within 1e-9 relative, the same
 // Step 3 argmax for every task, the same placements after Steps 4–6, and
 // a passing KKT certificate.
@@ -475,10 +475,10 @@ func fuzzCluster(data []byte) ([]p2Task, []p2Device, float64) {
 	return k, devs, capS
 }
 
-// FuzzClusterRelaxation checks the structured solver against the revised
-// simplex on byte-decoded clusters: it never panics, the outcome
-// (optimal, fallback or error) matches, the objectives agree within 1e-9
-// relative, and every solution passes the KKT certificate.
+// FuzzClusterRelaxation checks the structured solver against the
+// dense-tableau simplex on byte-decoded clusters: it never panics, the
+// outcome (optimal, fallback or error) matches, the objectives agree
+// within 1e-9 relative, and every solution passes the KKT certificate.
 //
 // The seed corpus in testdata/fuzz/FuzzClusterRelaxation holds the
 // constructed ties (E2 = E3, equal segment ratios, a face at μ*, zero

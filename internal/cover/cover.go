@@ -3,11 +3,9 @@ package cover
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"dsmec/internal/datamap"
-	"dsmec/internal/lp"
 )
 
 // ErrUncoverable is returned when some required block is held by no
@@ -192,47 +190,98 @@ func Verify(universe *datamap.Set, usable []*datamap.Set, res *Result) error {
 	return nil
 }
 
-// OptimalMaxLoad exhaustively computes the smallest achievable maximum
-// slice size (the objective of problem P3). Exponential; tests only.
-func OptimalMaxLoad(universe *datamap.Set, usable []*datamap.Set) (int, error) {
+// OptimalMaxLoad solves problem P3 exactly. Every block has the same
+// size, so a slice's load is its block count and P3 is makespan
+// minimisation of unit jobs with eligibility sets: find the smallest
+// load bound L under which every block goes to one of the devices
+// holding it and no device takes more than L blocks. L is found by
+// binary search from the counting bound ⌈|D|/n⌉, and each probe is a
+// bipartite b-matching by augmenting paths, so the solve is polynomial.
+//
+// The partition is deterministic: each probe builds a new matching and
+// matches blocks in ascending order. A block goes to its lowest-indexed
+// holder with room under the bound; only when every holder is full does
+// it move earlier blocks along an augmenting path, again trying devices
+// by index. The returned MaxLoad is the optimum.
+func OptimalMaxLoad(universe *datamap.Set, usable []*datamap.Set) (*Result, error) {
 	ud, err := usableIn(universe, usable)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	blocks := universe.Blocks()
-	if len(blocks) > 16 {
-		return 0, fmt.Errorf("cover: OptimalMaxLoad limited to 16 blocks, got %d", len(blocks))
-	}
-	loads := make([]int, len(ud))
-	best := len(blocks) + 1
-	var rec func(idx, curMax int)
-	rec = func(idx, curMax int) {
-		if curMax >= best {
-			return // prune
-		}
-		if idx == len(blocks) {
-			best = curMax
-			return
-		}
-		b := blocks[idx]
+	holders := make([][]int, len(blocks))
+	for r, b := range blocks {
 		for i, u := range ud {
-			if !u.Contains(b) {
+			if u.Contains(b) {
+				holders[r] = append(holders[r], i)
+			}
+		}
+	}
+	// L = |D| is always feasible; owner, once set, is the matching at hi.
+	lo, hi := (len(blocks)+len(ud)-1)/len(ud), len(blocks)
+	var owner []int
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if m := matchBlocks(holders, len(ud), mid); m != nil {
+			hi, owner = mid, m
+		} else {
+			lo = mid + 1
+		}
+	}
+	if owner == nil {
+		owner = matchBlocks(holders, len(ud), hi)
+	}
+	res := &Result{Coverage: make([]*datamap.Set, len(ud))}
+	for i := range res.Coverage {
+		res.Coverage[i] = datamap.NewSet()
+	}
+	for r, i := range owner {
+		res.Coverage[i].Add(blocks[r])
+	}
+	res.finalize()
+	return res, nil
+}
+
+// matchBlocks gives every block r one of its holders[r] with no device
+// taking more than limit blocks, by augmenting paths (Kuhn's algorithm
+// with device capacities). It returns each block's device, or nil when
+// no such assignment exists.
+func matchBlocks(holders [][]int, devices, limit int) []int {
+	owner := make([]int, len(holders))
+	taken := make([][]int, devices) // blocks matched to each device
+	seen := make([]int, devices)    // last augmentation that visited a device
+	var augment func(r, stamp int) bool
+	augment = func(r, stamp int) bool {
+		for _, i := range holders[r] {
+			if len(taken[i]) < limit {
+				taken[i] = append(taken[i], r)
+				owner[r] = i
+				return true
+			}
+		}
+		// Every holder is full: free a slot by moving one of their
+		// blocks on to another holder.
+		for _, i := range holders[r] {
+			if seen[i] == stamp {
 				continue
 			}
-			loads[i]++
-			next := curMax
-			if loads[i] > next {
-				next = loads[i]
+			seen[i] = stamp
+			for k, moved := range taken[i] {
+				if augment(moved, stamp) {
+					taken[i][k] = r
+					owner[r] = i
+					return true
+				}
 			}
-			rec(idx+1, next)
-			loads[i]--
+		}
+		return false
+	}
+	for r := range holders {
+		if !augment(r, r+1) {
+			return nil
 		}
 	}
-	rec(0, 0)
-	if best > len(blocks) {
-		return 0, ErrUncoverable
-	}
-	return best, nil
+	return owner
 }
 
 // OptimalSetCount exhaustively computes the smallest number of devices
@@ -264,98 +313,4 @@ func OptimalSetCount(universe *datamap.Set, usable []*datamap.Set) (int, error) 
 		return 0, ErrUncoverable
 	}
 	return bestCount, nil
-}
-
-// OptimalMaxLoadILP solves problem P3 exactly by 0/1 branch-and-bound:
-// binary variables y_ri assign block r to device i, and a continuous
-// makespan variable bounds every device's load. It reaches instances far
-// beyond OptimalMaxLoad's exhaustive search. nodeLimit bounds the
-// branch-and-bound nodes (0 = default).
-func OptimalMaxLoadILP(universe *datamap.Set, usable []*datamap.Set, nodeLimit int) (int, error) {
-	ud, err := usableIn(universe, usable)
-	if err != nil {
-		return 0, err
-	}
-	blocks := universe.Blocks()
-	nBlocks := len(blocks)
-	nDev := len(ud)
-	if nBlocks == 0 {
-		return 0, nil
-	}
-
-	// Variables: y[r*nDev+i] for each block r and device i, then maxsize.
-	nVars := nBlocks*nDev + 1
-	msVar := nBlocks * nDev
-	p := &lp.Problem{
-		Minimize: make([]float64, nVars),
-		Upper:    make([]float64, nVars),
-	}
-	binary := make([]bool, nVars)
-	p.Minimize[msVar] = 1
-	p.Upper[msVar] = math.Inf(1)
-	for r := range blocks {
-		for i := 0; i < nDev; i++ {
-			v := r*nDev + i
-			if ud[i].Contains(blocks[r]) {
-				p.Upper[v] = 1
-				binary[v] = true
-			} // else pinned to zero: p_ri = ∞ in the paper's formulation
-		}
-	}
-
-	// Each block assigned exactly once.
-	for r := range blocks {
-		row := make([]float64, nVars)
-		for i := 0; i < nDev; i++ {
-			if binary[r*nDev+i] {
-				row[r*nDev+i] = 1
-			}
-		}
-		p.Constraints = append(p.Constraints, lp.Constraint{Coeffs: row, Sense: lp.EQ, RHS: 1})
-	}
-	// Per-device load bounded by maxsize.
-	for i := 0; i < nDev; i++ {
-		row := make([]float64, nVars)
-		any := false
-		for r := range blocks {
-			if binary[r*nDev+i] {
-				row[r*nDev+i] = 1
-				any = true
-			}
-		}
-		if !any {
-			continue
-		}
-		row[msVar] = -1
-		p.Constraints = append(p.Constraints, lp.Constraint{Coeffs: row, Sense: lp.LE, RHS: 0})
-	}
-
-	// Warm start from the LPT heuristic (often already optimal) and
-	// exploit objective integrality: block counts are integers, so any
-	// node whose LP bound rounds up to the incumbent is pruned.
-	var incumbent []float64
-	if lpt, err := BalancedPartitionLPT(universe, usable); err == nil {
-		incumbent = make([]float64, nVars)
-		for i, slice := range lpt.Coverage {
-			for r := range blocks {
-				if slice.Contains(blocks[r]) {
-					incumbent[r*nDev+i] = 1
-				}
-			}
-		}
-		incumbent[msVar] = float64(lpt.MaxLoad)
-	}
-
-	sol, err := lp.SolveBinary(p, binary, lp.BinaryOptions{
-		NodeLimit:        nodeLimit,
-		Incumbent:        incumbent,
-		IntegerObjective: true,
-	})
-	if err != nil {
-		return 0, fmt.Errorf("cover: %w", err)
-	}
-	if sol.Status != lp.Optimal {
-		return 0, ErrUncoverable
-	}
-	return int(math.Round(sol.Objective)), nil
 }

@@ -166,11 +166,18 @@ func TestOptimalMaxLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != 2 {
-		t.Errorf("OptimalMaxLoad = %d, want 2 (split evenly)", got)
+	if err := Verify(universe, usable, got); err != nil {
+		t.Fatal(err)
+	}
+	// Blocks ascending, holders by device index: 1 and 2 fill device 0
+	// up to the bound 2, and 3 and 4 go to device 1.
+	if got.MaxLoad != 2 || !got.Coverage[0].Equal(datamap.NewSet(1, 2)) {
+		t.Errorf("OptimalMaxLoad = %d with C_0 = %v, want 2 with {1,2} (split evenly)",
+			got.MaxLoad, got.Coverage[0])
 	}
 
-	// One exclusive heavy holder: optimum forced to 3.
+	// Block 3 is shared, block 4 only on device 1: the optimum moves 3
+	// to device 0.
 	usable2 := sets(
 		[]datamap.BlockID{1, 2, 3},
 		[]datamap.BlockID{3, 4},
@@ -179,18 +186,75 @@ func TestOptimalMaxLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got2 != 2 {
-		t.Errorf("OptimalMaxLoad = %d, want 2 ({1,2} vs {3,4})", got2)
+	if err := Verify(universe, usable2, got2); err != nil {
+		t.Fatal(err)
+	}
+	if got2.MaxLoad != 2 {
+		t.Errorf("OptimalMaxLoad = %d, want 2 ({1,2} vs {3,4})", got2.MaxLoad)
+	}
+
+	// One exclusive heavy holder: device 0 alone holds 1, 2 and 3, so
+	// the optimum is forced to 3.
+	usable3 := sets(
+		[]datamap.BlockID{1, 2, 3, 4},
+		[]datamap.BlockID{4},
+	)
+	got3, err := OptimalMaxLoad(universe, usable3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got3.MaxLoad != 3 || !got3.Coverage[1].Equal(datamap.NewSet(4)) {
+		t.Errorf("OptimalMaxLoad = %d with C_1 = %v, want 3 with {4}", got3.MaxLoad, got3.Coverage[1])
 	}
 }
 
+// bruteForceMaxLoad exhaustively computes the smallest achievable maximum
+// slice size, the objective of P3, as the small-instance oracle for
+// OptimalMaxLoad. Exponential: at most 16 blocks.
+func bruteForceMaxLoad(t testing.TB, universe *datamap.Set, usable []*datamap.Set) int {
+	t.Helper()
+	ud, err := usableIn(universe, usable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := universe.Blocks()
+	if len(blocks) > 16 {
+		t.Fatalf("brute force limited to 16 blocks, got %d", len(blocks))
+	}
+	loads := make([]int, len(ud))
+	best := len(blocks) + 1
+	var rec func(idx, curMax int)
+	rec = func(idx, curMax int) {
+		if curMax >= best {
+			return // prune
+		}
+		if idx == len(blocks) {
+			best = curMax
+			return
+		}
+		b := blocks[idx]
+		for i, u := range ud {
+			if !u.Contains(b) {
+				continue
+			}
+			loads[i]++
+			rec(idx+1, max(curMax, loads[i]))
+			loads[i]--
+		}
+	}
+	rec(0, 0)
+	return best
+}
+
 func TestOptimalLimits(t *testing.T) {
+	// OptimalMaxLoad is polynomial and takes any size; only the
+	// exhaustive OptimalSetCount is capped.
 	big := datamap.NewSet()
 	for b := 0; b < 17; b++ {
 		big.Add(datamap.BlockID(b))
 	}
-	if _, err := OptimalMaxLoad(big, []*datamap.Set{big}); err == nil {
-		t.Error("OptimalMaxLoad should reject > 16 blocks")
+	if res, err := OptimalMaxLoad(big, []*datamap.Set{big}); err != nil || res.MaxLoad != 17 {
+		t.Errorf("OptimalMaxLoad on 17 blocks, one device: %v, %v; want load 17", res, err)
 	}
 	many := make([]*datamap.Set, 21)
 	for i := range many {
@@ -304,10 +368,10 @@ func TestBalancedPartitionRatioEmpirical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if opt == 0 {
+		if opt.MaxLoad == 0 {
 			continue
 		}
-		ratio := float64(res.MaxLoad) / float64(opt)
+		ratio := float64(res.MaxLoad) / float64(opt.MaxLoad)
 		if ratio > worstRatio {
 			worstRatio = ratio
 		}
@@ -363,28 +427,30 @@ func TestVerifyCatchesBadResults(t *testing.T) {
 	}
 }
 
-func TestOptimalMaxLoadILPMatchesBruteForce(t *testing.T) {
+func TestOptimalMaxLoadMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		universe, usable := randomInstance("cover-ilp", trial, 4, 12, 5)
-		want, err := OptimalMaxLoad(universe, usable)
+		got, err := OptimalMaxLoad(universe, usable)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := OptimalMaxLoadILP(universe, usable, 0)
-		if err != nil {
-			t.Fatal(err)
+		if err := Verify(universe, usable, got); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if got != want {
-			t.Fatalf("trial %d: ILP %d != brute force %d", trial, got, want)
+		if want := bruteForceMaxLoad(t, universe, usable); got.MaxLoad != want {
+			t.Fatalf("trial %d: matching %d != brute force %d", trial, got.MaxLoad, want)
 		}
 	}
 }
 
-func TestOptimalMaxLoadILPBeyondBruteForce(t *testing.T) {
+func TestOptimalMaxLoadBeyondBruteForce(t *testing.T) {
 	// 60 blocks over 8 devices: far beyond the 16-block brute-force cap.
 	universe, usable := randomInstance("cover-ilp-big", 1, 8, 60, 20)
-	opt, err := OptimalMaxLoadILP(universe, usable, 0)
+	opt, err := OptimalMaxLoad(universe, usable)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(universe, usable, opt); err != nil {
 		t.Fatal(err)
 	}
 	greedy, err := BalancedPartition(universe, usable)
@@ -395,21 +461,109 @@ func TestOptimalMaxLoadILPBeyondBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt > greedy.MaxLoad || opt > lpt.MaxLoad {
-		t.Errorf("optimum %d exceeds a heuristic (greedy %d, LPT %d)", opt, greedy.MaxLoad, lpt.MaxLoad)
+	if opt.MaxLoad > greedy.MaxLoad || opt.MaxLoad > lpt.MaxLoad {
+		t.Errorf("optimum %d exceeds a heuristic (greedy %d, LPT %d)", opt.MaxLoad, greedy.MaxLoad, lpt.MaxLoad)
 	}
 	// A perfectly balanced division cannot beat ceil(|D|/n).
-	if lb := (universe.Len() + len(usable) - 1) / len(usable); opt < lb {
-		t.Errorf("optimum %d below the counting bound %d", opt, lb)
+	if lb := (universe.Len() + len(usable) - 1) / len(usable); opt.MaxLoad < lb {
+		t.Errorf("optimum %d below the counting bound %d", opt.MaxLoad, lb)
 	}
-	t.Logf("60 blocks / 8 devices: optimal %d, paper greedy %d, LPT %d", opt, greedy.MaxLoad, lpt.MaxLoad)
+	t.Logf("60 blocks / 8 devices: optimal %d, paper greedy %d, LPT %d", opt.MaxLoad, greedy.MaxLoad, lpt.MaxLoad)
 }
 
-func TestOptimalMaxLoadILPEdgeCases(t *testing.T) {
-	if got, err := OptimalMaxLoadILP(datamap.NewSet(), sets([]datamap.BlockID{1}), 0); err != nil || got != 0 {
-		t.Errorf("empty universe = %d,%v want 0,nil", got, err)
+func TestOptimalMaxLoadEdgeCases(t *testing.T) {
+	if got, err := OptimalMaxLoad(datamap.NewSet(), sets([]datamap.BlockID{1})); err != nil || got.MaxLoad != 0 || len(got.Involved) != 0 {
+		t.Errorf("empty universe = %v,%v want load 0, nobody involved", got, err)
 	}
-	if _, err := OptimalMaxLoadILP(datamap.NewSet(1, 9), sets([]datamap.BlockID{1}), 0); !errors.Is(err, ErrUncoverable) {
+	if _, err := OptimalMaxLoad(datamap.NewSet(1, 9), sets([]datamap.BlockID{1})); !errors.Is(err, ErrUncoverable) {
 		t.Errorf("uncoverable should fail, got %v", err)
 	}
+}
+
+// fuzzInstance decodes a P3 instance from bytes: data[0] picks 1–8
+// devices and data[1] a universe of 0–40 blocks. The remaining bytes
+// are a bit string, device by device over blocks 0..|D|+3, saying which
+// device holds which block; the last four blocks lie outside the
+// universe, and bits past the end of data read as zero.
+func fuzzInstance(data []byte) (*datamap.Set, []*datamap.Set) {
+	at := func(k int) byte {
+		if k < len(data) {
+			return data[k]
+		}
+		return 0
+	}
+	devices := 1 + int(at(0))%8
+	blocks := int(at(1)) % 41
+	universe := datamap.NewSet()
+	for b := 0; b < blocks; b++ {
+		universe.Add(datamap.BlockID(b))
+	}
+	usable := make([]*datamap.Set, devices)
+	bit := 0
+	for i := range usable {
+		usable[i] = datamap.NewSet()
+		for b := 0; b < blocks+4; b++ {
+			if at(2+bit/8)>>(bit%8)&1 == 1 {
+				usable[i].Add(datamap.BlockID(b))
+			}
+			bit++
+		}
+	}
+	return universe, usable
+}
+
+// FuzzOptimalMaxLoad checks the matching solver on byte-decoded
+// instances: an uncoverable universe returns ErrUncoverable; otherwise
+// the partition passes Verify, its MaxLoad is its largest slice, the
+// optimum lies between the counting bound ⌈|D|/n⌉ and both greedies'
+// loads, and on at most 16 blocks it equals the exhaustive search.
+//
+// The seed corpus in testdata/fuzz/FuzzOptimalMaxLoad holds an even
+// split, a forced heavy holder, a chain that needs multi-step augmenting
+// paths, an uncoverable block, an empty universe, and random instances
+// at the brute-force limit (16 blocks) and beyond it (40 blocks).
+func FuzzOptimalMaxLoad(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		universe, usable := fuzzInstance(data)
+		res, err := OptimalMaxLoad(universe, usable)
+		if !universe.SubsetOf(datamap.UnionOf(usable...)) {
+			if !errors.Is(err, ErrUncoverable) {
+				t.Fatalf("uncoverable universe: err = %v, want ErrUncoverable", err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Verify(universe, usable, res); err != nil {
+			t.Fatal(err)
+		}
+		largest := 0
+		for _, c := range res.Coverage {
+			largest = max(largest, c.Len())
+		}
+		if res.MaxLoad != largest {
+			t.Fatalf("MaxLoad %d, largest slice %d", res.MaxLoad, largest)
+		}
+		if lb := (universe.Len() + len(usable) - 1) / len(usable); res.MaxLoad < lb {
+			t.Fatalf("optimum %d below the counting bound %d", res.MaxLoad, lb)
+		}
+		for name, greedy := range map[string]func(*datamap.Set, []*datamap.Set) (*Result, error){
+			"BalancedPartition":    BalancedPartition,
+			"BalancedPartitionLPT": BalancedPartitionLPT,
+		} {
+			g, err := greedy(universe, usable)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if res.MaxLoad > g.MaxLoad {
+				t.Fatalf("optimum %d above %s's %d", res.MaxLoad, name, g.MaxLoad)
+			}
+		}
+		if universe.Len() <= 16 {
+			if want := bruteForceMaxLoad(t, universe, usable); res.MaxLoad != want {
+				t.Fatalf("optimum %d, exhaustive search %d", res.MaxLoad, want)
+			}
+		}
+	})
 }

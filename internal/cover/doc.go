@@ -14,7 +14,8 @@
 //   - BalancedPartitionLPT: an ablation variant that assigns block by
 //     block to the least-loaded owner, longest-processing-time style.
 //
-// Exact solvers (OptimalMaxLoad, OptimalSetCount) are provided for small
-// instances so tests and benchmarks can measure empirical approximation
-// ratios.
+// Exact solvers measure the greedies' empirical approximation ratios.
+// OptimalMaxLoad solves P3 in polynomial time: blocks all have the same
+// size, so it binary-searches the load bound with a bipartite b-matching.
+// OptimalSetCount is an exhaustive search for small instances.
 package cover

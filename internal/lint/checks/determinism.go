@@ -10,8 +10,8 @@ import (
 
 // Determinism returns the analyzer guarding the byte-identical-output
 // invariant: the same scenario and seed must produce the same bytes at
-// any -parallel or -shards value. Three things silently break it and
-// are flagged in deterministic packages:
+// any -parallel value. Three things silently break it and are flagged
+// in deterministic packages:
 //
 //   - wall-clock reads (time.Now, time.Since, time.Until, time.Sleep):
 //     wall time differs run to run, so any value derived from it that

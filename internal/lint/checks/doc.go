@@ -2,8 +2,7 @@
 //
 //   - determinism: no wall-clock reads, global math/rand, or
 //     order-dependent map iteration in the deterministic packages, the
-//     invariant behind byte-identical output at any -parallel/-shards
-//     value;
+//     invariant behind byte-identical output at any -parallel value;
 //   - nilsafe: exported pointer-receiver methods on nil-contract
 //     observability types must begin with a nil-receiver guard, the
 //     contract that makes disabled observability free;

@@ -95,9 +95,6 @@ type Problem struct {
 	Minimize    []float64
 	Constraints []Constraint
 	Upper       []float64
-	// Method selects the simplex implementation; the zero value is
-	// MethodRevised.
-	Method Method
 }
 
 // NumVars returns the number of decision variables.
@@ -151,11 +148,6 @@ func (p *Problem) Validate() error {
 			return fmt.Errorf("lp: objective coefficient %d is non-finite", j)
 		}
 	}
-	switch p.Method {
-	case MethodRevised, MethodDense:
-	default:
-		return fmt.Errorf("lp: invalid method %d", int(p.Method))
-	}
 	return nil
 }
 
@@ -190,15 +182,11 @@ type Solution struct {
 	X          []float64
 	Objective  float64
 	Iterations int
-	// Method is the simplex implementation that produced the solution.
-	Method Method
 	// Stats breaks the solve down for observability.
 	Stats SolveStats
 }
 
-// SolveStats counts what the simplex actually did. The dense tableau
-// never refactorizes a basis; the closest analog — full reduced-cost row
-// reinstallations (one per phase) — is counted as ObjectiveInstalls.
+// SolveStats counts what the simplex actually did.
 type SolveStats struct {
 	// Pivots counts basis changes (excludes bound flips).
 	Pivots int
@@ -215,13 +203,6 @@ type SolveStats struct {
 	BlandSwitches int
 	// ObjectiveInstalls counts reduced-cost row installations.
 	ObjectiveInstalls int
-	// Refactorizations counts basis LU refactorizations beyond the
-	// initial factorization (MethodRevised only; the dense tableau never
-	// factorizes a basis).
-	Refactorizations int
-	// EtaVectors counts product-form basis updates applied between
-	// refactorizations (MethodRevised only).
-	EtaVectors int
 	// Phase1Iterations and Phase2Iterations split Solution.Iterations.
 	Phase1Iterations int
 	Phase2Iterations int
@@ -242,65 +223,27 @@ const (
 )
 
 // Solve solves the problem with the two-phase simplex method. Metrics
-// are recorded to the process-wide obs registry when one is installed;
-// use SolveObserved to direct them (and trace spans) explicitly.
+// are recorded to the process-wide obs registry when one is installed.
 func Solve(p *Problem) (*Solution, error) {
-	return SolveObserved(p, obs.Instruments{})
-}
-
-// SolveObserved solves the problem and records counters, timings, and a
-// trace span into ins. A zero ins falls back to the process-wide
-// registry and disables tracing.
-func SolveObserved(p *Problem, ins obs.Instruments) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	method := p.Method
-	span := ins.Span.Child("lp.solve")
-	log := ins.Logger()
-	var (
-		sol *Solution
-		err error
-	)
-	if method == MethodDense {
-		var t *tableau
-		t, err = newTableau(p)
-		if err == nil {
-			sol, err = t.solve(p, span, log)
-		}
-	} else {
-		sol, err = solveRevised(p, span, log)
-	}
-	if sol != nil {
-		sol.Method = method
-	}
-	record(ins, span, p, method, sol, err)
-	span.End()
+	log := obs.GlobalLogger()
+	sol, err := newTableau(p).solve(p, log)
+	record(obs.Global(), log, p, sol, err)
 	return sol, err
 }
 
 // record publishes one solve's outcome. The counter lookups cost a few
 // nanoseconds each against a disabled (nil) registry.
-func record(ins obs.Instruments, span *obs.Span, p *Problem, method Method, sol *Solution, err error) {
-	reg := ins.Registry()
-	log := ins.Logger()
-	if span != nil {
-		span.Annotate("vars", p.NumVars())
-		span.Annotate("constraints", len(p.Constraints))
-		span.Annotate("method", method.String())
-	}
-	if reg == nil && span == nil && log == nil {
+func record(reg *obs.Registry, log *obs.Logger, p *Problem, sol *Solution, err error) {
+	if reg == nil && log == nil {
 		return
 	}
 	reg.Counter("lp.solves").Inc()
-	reg.Counter("lp.solves." + method.String()).Inc()
 	if err != nil {
 		reg.Counter("lp.errors").Inc()
-		if span != nil {
-			span.Annotate("error", err.Error())
-		}
 		log.Warn("lp solve failed",
-			"method", method.String(),
 			"vars", p.NumVars(),
 			"constraints", len(p.Constraints),
 			"err", err.Error())
@@ -313,8 +256,6 @@ func record(ins obs.Instruments, span *obs.Span, p *Problem, method Method, sol 
 	reg.Counter("lp.ratio_test_ties").Add(int64(st.RatioTestTies))
 	reg.Counter("lp.bland_switches").Add(int64(st.BlandSwitches))
 	reg.Counter("lp.objective_installs").Add(int64(st.ObjectiveInstalls))
-	reg.Counter("lp.refactorizations").Add(int64(st.Refactorizations))
-	reg.Counter("lp.eta_vectors").Add(int64(st.EtaVectors))
 	reg.Counter("lp.phase1_iterations").Add(int64(st.Phase1Iterations))
 	reg.Counter("lp.phase2_iterations").Add(int64(st.Phase2Iterations))
 	switch sol.Status {
@@ -326,27 +267,13 @@ func record(ins obs.Instruments, span *obs.Span, p *Problem, method Method, sol 
 	reg.Histogram("lp.solve_seconds", obs.TimeBuckets).Observe(st.Phase1Seconds + st.Phase2Seconds)
 	reg.Histogram("lp.pivots_per_solve", obs.CountBuckets).Observe(float64(st.Pivots))
 	reg.Histogram("lp.degenerate_pivots_per_solve", obs.CountBuckets).Observe(float64(st.DegeneratePivots))
-	if method == MethodRevised {
-		reg.Histogram("lp.eta_vectors_per_solve", obs.CountBuckets).Observe(float64(st.EtaVectors))
-		// Mean pivots between basis refactorizations this solve (the
-		// initial factorization counts as interval zero's start).
-		reg.Histogram("lp.refactor_interval_pivots", obs.CountBuckets).
-			Observe(float64(st.Pivots) / float64(st.Refactorizations+1))
-	}
-	if span != nil {
-		span.Annotate("status", sol.Status.String())
-		span.Annotate("iterations", sol.Iterations)
-		span.Annotate("pivots", st.Pivots)
-	}
 	if log.Enabled(obs.LevelDebug) {
 		log.Debug("lp solve done",
-			"method", method.String(),
 			"status", sol.Status.String(),
 			"vars", p.NumVars(),
 			"constraints", len(p.Constraints),
 			"pivots", st.Pivots,
 			"degenerate_pivots", st.DegeneratePivots,
-			"refactorizations", st.Refactorizations,
 			"seconds", st.Phase1Seconds+st.Phase2Seconds)
 	}
 }
@@ -393,8 +320,7 @@ type rowKind struct {
 }
 
 // classifyRows normalizes every row to RHS ≥ 0 and counts the slack and
-// artificial columns the standard form needs. Shared by the dense tableau
-// and the revised simplex so both lower the identical standard form.
+// artificial columns the standard form needs.
 func classifyRows(cons []Constraint) (kinds []rowKind, nSlack, nArt int) {
 	kinds = make([]rowKind, len(cons))
 	for i, c := range cons {
@@ -423,7 +349,7 @@ func classifyRows(cons []Constraint) (kinds []rowKind, nSlack, nArt int) {
 }
 
 // newTableau converts p into bounded standard form.
-func newTableau(p *Problem) (*tableau, error) {
+func newTableau(p *Problem) *tableau {
 	n := p.NumVars()
 	cons := p.Constraints
 	m := len(cons)
@@ -477,7 +403,7 @@ func newTableau(p *Problem) (*tableau, error) {
 		t.value[i] = rhs
 		t.status[t.basis[i]] = basic
 	}
-	return t, nil
+	return t
 }
 
 // setObjective installs the reduced-cost row for the given costs.
@@ -688,15 +614,13 @@ func (t *tableau) runSimplex(allowed func(col int) bool) error {
 	return ErrIterationLimit
 }
 
-// solve runs the two phases and extracts the solution. span, when
-// non-nil, receives one child span per phase; log, when enabled at debug,
-// receives one record per phase transition.
-func (t *tableau) solve(p *Problem, span *obs.Span, log *obs.Logger) (*Solution, error) {
+// solve runs the two phases and extracts the solution. log, when enabled
+// at debug, receives one record per phase transition.
+func (t *tableau) solve(p *Problem, log *obs.Logger) (*Solution, error) {
 	allowAll := func(int) bool { return true }
 	artStart := t.n - t.nArt
 
 	if t.nArt > 0 {
-		p1Span := span.Child("lp.phase1")
 		p1Timer := obs.StartTimer()
 		phase1 := make([]float64, t.n)
 		for j := artStart; j < t.n; j++ {
@@ -706,11 +630,8 @@ func (t *tableau) solve(p *Problem, span *obs.Span, log *obs.Logger) (*Solution,
 		err := t.runSimplex(allowAll)
 		t.stats.Phase1Iterations = t.iterations
 		t.stats.Phase1Seconds = p1Timer.Seconds()
-		p1Span.Annotate("iterations", t.iterations)
-		p1Span.End()
 		if log.Enabled(obs.LevelDebug) {
 			log.Debug("lp phase1 done",
-				"method", "dense",
 				"iterations", t.stats.Phase1Iterations,
 				"seconds", t.stats.Phase1Seconds)
 		}
@@ -759,7 +680,6 @@ func (t *tableau) solve(p *Problem, span *obs.Span, log *obs.Logger) (*Solution,
 		}
 	}
 
-	p2Span := span.Child("lp.phase2")
 	p2Timer := obs.StartTimer()
 	costs := make([]float64, t.n)
 	copy(costs, p.Minimize)
@@ -768,11 +688,8 @@ func (t *tableau) solve(p *Problem, span *obs.Span, log *obs.Logger) (*Solution,
 	err := t.runSimplex(noArt)
 	t.stats.Phase2Iterations = t.iterations - t.stats.Phase1Iterations
 	t.stats.Phase2Seconds = p2Timer.Seconds()
-	p2Span.Annotate("iterations", t.stats.Phase2Iterations)
-	p2Span.End()
 	if log.Enabled(obs.LevelDebug) {
 		log.Debug("lp phase2 done",
-			"method", "dense",
 			"iterations", t.stats.Phase2Iterations,
 			"seconds", t.stats.Phase2Seconds)
 	}

@@ -333,10 +333,7 @@ func feasible(p *Problem, x []float64) bool {
 		}
 	}
 	for _, c := range p.Constraints {
-		dot := 0.0
-		for j, a := range c.Coeffs {
-			dot += a * x[j]
-		}
+		dot := c.Dot(x)
 		switch c.Sense {
 		case LE:
 			if dot > c.RHS+1e-6 {

@@ -106,11 +106,9 @@ func (e *engine) addStageJoin(pi, res int32, service units.Duration, d1, d2 int3
 // accounting the observability layer exports: total busy time (the
 // integral of occupied servers over time), total and per-start queueing
 // wait, start count, and the peak queue depth. Resources live in the
-// engine's arena, are all created before the run starts, and carry the
-// shard their events are heaped on.
+// engine's arena and are all created before the run starts.
 type resource struct {
 	class   string // metric label, e.g. "dev.up", "st.cpu"
-	shard   int32
 	servers int32
 	busy    int32
 	queue   []int32 // stage arena indices
@@ -241,7 +239,7 @@ func (e *engine) start(ri, si int32) {
 	if e.smp != nil {
 		e.smp.busyServers++
 	}
-	e.push(r.shard, event{at: now + svc, seq: e.seq, kind: evStage, idx: si})
+	e.events.push(event{at: now + svc, seq: e.seq, kind: evStage, idx: si})
 	e.seq++
 }
 
@@ -401,25 +399,14 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// shardState is one station shard's event heap plus its telemetry.
-type shardState struct {
-	events     eventHeap
-	dispatched int64
-	peak       int
-}
-
-// engine drives the event loop. The event queue is sharded: every
-// resource belongs to a shard (stations are distributed round-robin and
-// drag their devices along), and each shard keeps its own heap. Dispatch
-// always pops the globally smallest (time, seq) event across shard heads,
-// so the processing order — and therefore every output byte — is
-// identical to a single-heap run at any shard count; sharding buys
-// smaller heaps (cheaper sifts, better locality), not reordering.
+// engine drives the event loop: one heap ordered by (time, seq) holds
+// every pending event, and seq is unique, so the processing order is a
+// total order fixed by the input.
 type engine struct {
 	now        units.Duration
 	seq        int64
 	dispatched int64
-	shards     []shardState
+	events     eventHeap
 	stages     []stage
 	plans      []plan
 	actions    []func(at units.Duration)
@@ -432,22 +419,6 @@ type engine struct {
 	// fault-free simulator installs one engine-level hook instead of a
 	// closure per task.
 	done func(pi int32, finish units.Duration)
-}
-
-// ensureShards lazily initializes the shard array (zero-value engines get
-// a single shard).
-func (e *engine) ensureShards() {
-	if len(e.shards) == 0 {
-		e.shards = make([]shardState, 1)
-	}
-}
-
-// setShards sizes the shard array; must run before any event is pushed.
-func (e *engine) setShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.shards = make([]shardState, n)
 }
 
 // reserve sizes the plan, stage, and resource arenas for a run whose
@@ -473,27 +444,12 @@ func (e *engine) reserve(nplans, nstages, nresources int) {
 	}
 }
 
-// push adds an event to one shard's heap.
-func (e *engine) push(shard int32, ev event) {
-	h := &e.shards[shard]
-	h.events.push(ev)
-	if len(h.events) > h.peak {
-		h.peak = len(h.events)
-	}
-}
-
 // newResource registers a k-server resource with the engine under a
-// metric class label, on shard 0.
+// metric class label. All resources must be created before the run
+// starts; the arena never grows mid-run, so *resource pointers taken
+// during dispatch stay valid.
 func (e *engine) newResource(servers int, class string) int32 {
-	return e.newResourceShard(servers, class, 0)
-}
-
-// newResourceShard registers a k-server resource on the given shard. All
-// resources must be created before the run starts; the arena never grows
-// mid-run, so *resource pointers taken during dispatch stay valid.
-func (e *engine) newResourceShard(servers int, class string, shard int32) int32 {
-	e.ensureShards()
-	r := resource{servers: int32(servers), class: class, shard: shard}
+	r := resource{servers: int32(servers), class: class}
 	if e.ins.Registry() != nil {
 		wb := e.waits[class]
 		if wb == nil {
@@ -513,11 +469,10 @@ func (e *engine) newResourceShard(servers int, class string, shard int32) int32 
 }
 
 // scheduleAction arms a fault-injection action (outage, repair, churn,
-// degradation window edge) as a first-class event on shard 0.
+// degradation window edge) as a first-class event.
 func (e *engine) scheduleAction(at units.Duration, act func(at units.Duration)) {
-	e.ensureShards()
 	e.actions = append(e.actions, act)
-	e.push(0, event{at: at, seq: e.seq, kind: evAction, idx: int32(len(e.actions) - 1)})
+	e.events.push(event{at: at, seq: e.seq, kind: evAction, idx: int32(len(e.actions) - 1)})
 	e.seq++
 }
 
@@ -550,58 +505,23 @@ func (e *engine) planDone(pi int32, finish units.Duration) {
 }
 
 // releaseAt submits a plan at the given simulated time (immediately when
-// the time is not in the future). The release event lands on the shard of
-// the plan's first stage, keeping a cluster's releases near its
-// completions.
+// the time is not in the future).
 func (e *engine) releaseAt(pi int32, at units.Duration) {
 	if at <= e.now {
 		e.release(pi)
 		return
 	}
-	e.ensureShards()
-	p := &e.plans[pi]
-	shard := int32(0)
-	if p.n > 0 {
-		shard = e.resources[e.stages[p.first].res].shard
-	}
-	e.push(shard, event{at: at, seq: e.seq, kind: evPlan, idx: pi})
+	e.events.push(event{at: at, seq: e.seq, kind: evPlan, idx: pi})
 	e.seq++
 }
 
-// nextShard returns the shard holding the globally smallest (time, seq)
-// event, or -1 when every heap is drained. seq is globally unique, so
-// the total order is independent of the shard count.
-func (e *engine) nextShard() int {
-	best := -1
-	for k := range e.shards {
-		h := e.shards[k].events
-		if len(h) == 0 {
-			continue
-		}
-		if best < 0 {
-			best = k
-			continue
-		}
-		b := e.shards[best].events[0]
-		if h[0].at < b.at || (h[0].at == b.at && h[0].seq < b.seq) {
-			best = k
-		}
-	}
-	return best
-}
-
-// run processes events until every shard heap drains. Callbacks fired
-// during dispatch (recovery ladders) may grow the stage/plan arenas, so
-// the loop reads everything it needs from a stage into locals before any
-// callback and re-fetches by index afterwards.
+// run processes events until the heap drains. Callbacks fired during
+// dispatch (recovery ladders) may grow the stage/plan arenas, so the loop
+// reads everything it needs from a stage into locals before any callback
+// and re-fetches by index afterwards.
 func (e *engine) run() {
-	for {
-		k := e.nextShard()
-		if k < 0 {
-			return
-		}
-		ev := e.shards[k].events.pop()
-		e.shards[k].dispatched++
+	for len(e.events) > 0 {
+		ev := e.events.pop()
 		if e.smp != nil && ev.at != e.now {
 			// Event boundary: simulated time is about to advance, so the
 			// current depth/occupancy held for a nonzero interval.
@@ -665,22 +585,14 @@ func (e *engine) run() {
 }
 
 // recordMetrics publishes the run's engine-level accounting: events
-// dispatched, per-shard dispatch counts and heap peaks, and per-class
-// start counts, busy time, queueing wait, and peak queue depth, plus a
-// per-resource busy-time distribution.
+// dispatched, and per-class start counts, busy time, queueing wait, and
+// peak queue depth, plus a per-resource busy-time distribution.
 func (e *engine) recordMetrics() {
 	reg := e.ins.Registry()
 	if reg == nil {
 		return
 	}
 	reg.Counter("sim.events").Add(e.dispatched)
-	reg.Gauge("sim.shards").Set(float64(len(e.shards)))
-	shardEvents := reg.Histogram("sim.shard.events", obs.CountBuckets)
-	shardPeak := reg.Histogram("sim.shard.heap_peak", obs.CountBuckets)
-	for k := range e.shards {
-		shardEvents.Observe(float64(e.shards[k].dispatched))
-		shardPeak.Observe(float64(e.shards[k].peak))
-	}
 
 	type agg struct {
 		started   int64

@@ -111,14 +111,6 @@ func TestEngineResourceAccounting(t *testing.T) {
 	if h2.Count != 2 || h2.Sum != 0 {
 		t.Errorf("r2 wait histogram count/sum = %d/%g, want 2/0", h2.Count, h2.Sum)
 	}
-	// One shard by default; its dispatch count covers every event.
-	if got := s.Gauges["sim.shards"]; got != 1 {
-		t.Errorf("sim.shards = %g, want 1", got)
-	}
-	se := s.Histograms["sim.shard.events"]
-	if se.Count != 1 || se.Sum != 4 {
-		t.Errorf("sim.shard.events count/sum = %d/%g, want 1/4", se.Count, se.Sum)
-	}
 }
 
 // TestEngineTimedRelease checks that a plan released in the future holds
@@ -148,58 +140,6 @@ func TestEngineTimedRelease(t *testing.T) {
 	// One release event plus one completion event.
 	if eng.dispatched != 2 {
 		t.Errorf("dispatched = %d, want 2", eng.dispatched)
-	}
-}
-
-// TestEngineShardedDeterminism runs the same three-plan workload on 1, 2,
-// and 4 shards with resources spread across them and checks the completion
-// order and accounting are identical: global (time, seq) dispatch makes the
-// shard count invisible.
-func TestEngineShardedDeterminism(t *testing.T) {
-	type runOut struct {
-		completions []units.Duration
-		order       []int32
-		dispatched  int64
-	}
-	run := func(shards int) runOut {
-		eng := &engine{}
-		eng.setShards(shards)
-		nres := 3
-		rs := make([]int32, nres)
-		for i := range rs {
-			rs[i] = eng.newResourceShard(1, "r", int32(i%shards))
-		}
-		var out runOut
-		for i := 0; i < 3; i++ {
-			pi := eng.newPlan(int32(i))
-			a := eng.addStage(pi, rs[i%nres], 2*units.Second)
-			eng.addStageAfter(pi, rs[(i+1)%nres], units.Second, a)
-			eng.releaseAt(pi, units.Duration(i))
-		}
-		eng.done = func(pi int32, finish units.Duration) {
-			out.completions = append(out.completions, finish)
-			out.order = append(out.order, eng.plans[pi].task)
-		}
-		eng.run()
-		out.dispatched = eng.dispatched
-		return out
-	}
-
-	want := run(1)
-	for _, shards := range []int{2, 4} {
-		got := run(shards)
-		if len(got.completions) != len(want.completions) {
-			t.Fatalf("shards=%d: %d completions, want %d", shards, len(got.completions), len(want.completions))
-		}
-		for i := range want.completions {
-			if got.completions[i] != want.completions[i] || got.order[i] != want.order[i] {
-				t.Errorf("shards=%d: completion %d = task %d at %v, want task %d at %v",
-					shards, i, got.order[i], got.completions[i], want.order[i], want.completions[i])
-			}
-		}
-		if got.dispatched != want.dispatched {
-			t.Errorf("shards=%d: dispatched = %d, want %d", shards, got.dispatched, want.dispatched)
-		}
 	}
 }
 

@@ -19,12 +19,6 @@ type Config struct {
 	StationCores int
 	// CloudCores is the cloud's parallelism. Default 64.
 	CloudCores int
-	// Shards is the number of station shards the event queue is split
-	// into. Stations are distributed round-robin across shards and their
-	// devices follow; dispatch merges shard heads deterministically on
-	// (time, seq), so every output byte is identical at any shard count.
-	// Zero picks min(8, stations); 1 keeps a single heap.
-	Shards int
 	// Obs selects where metrics and trace spans are recorded. The zero
 	// value records metrics to the process-wide obs registry (if any)
 	// and disables tracing.
@@ -44,21 +38,6 @@ func (c Config) withDefaults() Config {
 		c.CloudCores = 64
 	}
 	return c
-}
-
-// shardCount resolves the shard count for a topology.
-func (c Config) shardCount(numStations int) int {
-	n := c.Shards
-	if n == 0 {
-		n = 8
-		if numStations < n {
-			n = numStations
-		}
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // TaskOutcome is one task's simulated execution record.
@@ -154,8 +133,6 @@ func RunReleases(m *costmodel.Model, ts *task.Set, a *core.Assignment, cfg Confi
 
 	buildSpan := span.Child("sim.build")
 	eng := &engine{ins: cfg.Obs}
-	eng.setShards(cfg.shardCount(sys.NumStations()))
-	nshards := int32(len(eng.shards))
 	res := &Result{Outcomes: make([]TaskOutcome, ts.Len()), ts: ts}
 
 	// Size the arenas exactly before anything is appended: the plan and
@@ -164,29 +141,24 @@ func RunReleases(m *costmodel.Model, ts *task.Set, a *core.Assignment, cfg Confi
 	nplans, nstages := countStages(sys, ts, a)
 	eng.reserve(nplans, nstages, 3*sys.NumDevices()+3*sys.NumStations()+1)
 
-	// Build resources. A station's shard is station % shards; its devices
-	// and the cloud pool follow their cluster (the cloud, shared by every
-	// cluster, lands on shard 0).
-	shardOfStation := func(st int) int32 { return int32(st) % nshards }
+	// Build resources.
 	devUp := make([]int32, sys.NumDevices())
 	devDown := make([]int32, sys.NumDevices())
 	devCPU := make([]int32, sys.NumDevices())
 	for i := range devUp {
-		sh := shardOfStation(sys.Devices[i].Station)
-		devUp[i] = eng.newResourceShard(1, "dev.up", sh)
-		devDown[i] = eng.newResourceShard(1, "dev.down", sh)
-		devCPU[i] = eng.newResourceShard(1, "dev.cpu", sh)
+		devUp[i] = eng.newResource(1, "dev.up")
+		devDown[i] = eng.newResource(1, "dev.down")
+		devCPU[i] = eng.newResource(1, "dev.cpu")
 	}
 	stWire := make([]int32, sys.NumStations())
 	stWAN := make([]int32, sys.NumStations())
 	stCPU := make([]int32, sys.NumStations())
 	for s := range stWire {
-		sh := shardOfStation(s)
-		stWire[s] = eng.newResourceShard(1, "st.wire", sh)
-		stWAN[s] = eng.newResourceShard(1, "st.wan", sh)
-		stCPU[s] = eng.newResourceShard(cfg.StationCores, "st.cpu", sh)
+		stWire[s] = eng.newResource(1, "st.wire")
+		stWAN[s] = eng.newResource(1, "st.wan")
+		stCPU[s] = eng.newResource(cfg.StationCores, "st.cpu")
 	}
-	cloudCPU := eng.newResourceShard(cfg.CloudCores, "cloud.cpu", 0)
+	cloudCPU := eng.newResource(cfg.CloudCores, "cloud.cpu")
 	pools := planResources{
 		devUp: devUp, devDown: devDown, devCPU: devCPU,
 		stWire: stWire, stWAN: stWAN, stCPU: stCPU, cloudCPU: cloudCPU,
@@ -344,7 +316,6 @@ func RunReleases(m *costmodel.Model, ts *task.Set, a *core.Assignment, cfg Confi
 			"cancelled", res.Cancelled,
 			"lost", lost,
 			"events", eng.dispatched,
-			"shards", len(eng.shards),
 			"makespan_seconds", res.Makespan.Seconds(),
 			"deadline_misses", res.DeadlineViolations)
 	}

@@ -1,10 +1,10 @@
 # Development targets. `make verify` is the pre-commit gate: formatting,
 # vet, build, the full test suite under the race detector, a
 # single-iteration benchmark smoke run so the perf harness can't rot, a
-# few seconds of fuzzing the scenario decoder, the cluster solver and the
-# data-division matcher, the meclint static-analysis suite (which
-# includes the docs and links checks — see docs/LINTING.md),
-# staticcheck when fetchable, a mecstat smoke over its
+# few seconds of fuzzing the scenario decoder, the cluster solver, the
+# data-division matcher and the replay-alone oracle, the meclint
+# static-analysis suite (which includes the docs and links checks — see
+# docs/LINTING.md), staticcheck when fetchable, a mecstat smoke over its
 # committed fixtures, a mecd service smoke that boots the daemon on a
 # loopback port and drives one arrival/assign/departure cycle through
 # the live HTTP API, and the e2ebench module's own tests.
@@ -85,15 +85,18 @@ bench-smoke:
 # A few seconds of native fuzzing per target: the scenario decoder
 # against its encoding/json oracle (internal/scenarioio FuzzDecode), the
 # structured cluster-relaxation solver against the dense-tableau simplex
-# (internal/core FuzzClusterRelaxation), and the exact P3 matcher against
+# (internal/core FuzzClusterRelaxation), the exact P3 matcher against
 # the greedies, the counting bound and exhaustive search (internal/cover
-# FuzzOptimalMaxLoad). `go test -fuzz` runs one target per invocation. A
-# crasher lands in the package's testdata/fuzz/<target> directory; commit
-# it as a regression case.
+# FuzzOptimalMaxLoad), and one task replayed alone in the discrete-event
+# simulator on each placement against the cost model's t_ijl and E_ijl
+# (internal/sim FuzzReplayAlone). `go test -fuzz` runs one target per
+# invocation. A crasher lands in the package's testdata/fuzz/<target>
+# directory; commit it as a regression case.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime 5s ./internal/scenarioio/
 	$(GO) test -run xxx -fuzz FuzzClusterRelaxation -fuzztime 5s ./internal/core/
 	$(GO) test -run xxx -fuzz FuzzOptimalMaxLoad -fuzztime 5s ./internal/cover/
+	$(GO) test -run xxx -fuzz FuzzReplayAlone -fuzztime 5s ./internal/sim/
 
 # The repository benchmark is its own module (e2ebench/go.mod), so
 # `go test ./...` at the root never reaches it. This runs its tests

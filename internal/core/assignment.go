@@ -184,11 +184,11 @@ func Evaluate(m *costmodel.Model, ts *task.Set, a *Assignment) (*Metrics, error)
 			out.Unsatisfied++
 			continue
 		}
-		opts, err := m.Eval(t)
+		st, err := m.Stages(t, l)
 		if err != nil {
 			return nil, err
 		}
-		c := opts.At(l)
+		c := st.Cost()
 		out.TotalEnergy += c.Energy
 		out.TotalLatency += c.Time
 		if c.Time > out.MaxLatency {
@@ -229,11 +229,11 @@ func CheckFeasible(m *costmodel.Model, ts *task.Set, a *Assignment) error {
 		default:
 			return fmt.Errorf("core: task %v has invalid subsystem %d (violates C5)", t.ID, int(l))
 		}
-		opts, err := m.Eval(t)
+		st, err := m.Stages(t, l)
 		if err != nil {
 			return err
 		}
-		if got := opts.At(l).Time; got > t.Deadline {
+		if got := st.Cost().Time; got > t.Deadline {
 			return fmt.Errorf("core: task %v misses deadline on %v: %v > %v (violates C1)",
 				t.ID, l, got, t.Deadline)
 		}

@@ -443,10 +443,12 @@ func (s *p2Solver) solveCluster(k []p2Task, devs []p2Device, capS float64, stati
 		return sol, nil
 	}
 	ins.Counter("lphta.lp_fallbacks").Inc()
-	ins.Logger().Warn("lphta lp fallback: relaxing deadline-derived bounds",
-		"station", station,
-		"tasks", tasks,
-		"status", "infeasible")
+	if log := ins.Logger(); log.Enabled(obs.LevelDebug) {
+		log.Debug("lphta lp fallback: relaxing deadline-derived bounds",
+			"station", station,
+			"tasks", tasks,
+			"status", "infeasible")
+	}
 	s.relaxed = s.relaxed[:0]
 	for i := range k {
 		s.relaxed = append(s.relaxed, k[i].relaxed())

@@ -72,7 +72,8 @@ func ReplanOnSurvivors(m *costmodel.Model, t *task.Task, sv Survivors) (costmode
 		if err != nil {
 			return costmodel.SubsystemNone, fmt.Errorf("core: replan %v: %w", t.ID, err)
 		}
-		// Cross-cluster retrieval crosses both stations' wires.
+		// Cross-cluster retrieval makes one wire hop, which Eval and the
+		// DES both charge to the source station's wire port.
 		if src.Station != dev.Station && !sv.stationUp(src.Station) {
 			return costmodel.SubsystemNone, nil
 		}

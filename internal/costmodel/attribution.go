@@ -1,7 +1,6 @@
 package costmodel
 
 import (
-	"fmt"
 	"sort"
 
 	"dsmec/internal/task"
@@ -36,65 +35,24 @@ func (a Attribution) Total() units.Energy {
 	return sum
 }
 
-// Attribute computes who pays the energy of running t on subsystem l.
-// The split follows Section II:
+// Attribute computes who pays the energy of running t on subsystem l:
+// each stage bills its energy to its payer (Section II):
 //
 //   - the source device L_ij pays e_L^(T)(β) whenever external data moves,
 //   - the owning device i pays its uploads, downloads and (for l = 1) the
 //     computation energy κλ(α+β)f²,
-//   - the station↔station and station↔cloud wires bill Infrastructure.
+//   - the station↔station and station↔cloud wires, and the station and
+//     cloud CPUs, bill Infrastructure.
 func (m *Model) Attribute(t *task.Task, l Subsystem) (Attribution, error) {
-	dev, err := m.sys.Device(t.ID.User)
+	s, err := m.Stages(t, l)
 	if err != nil {
-		return nil, fmt.Errorf("costmodel: task %v: %w", t.ID, err)
+		return nil, err
 	}
 	out := Attribution{}
-	add := func(who int, e units.Energy) {
-		if e != 0 {
-			out[who] += e
+	for i := range s.N {
+		if st := &s.List[i]; st.Energy != 0 {
+			out[int(st.Payer)] += st.Energy
 		}
-	}
-
-	var sameCluster bool
-	if t.HasExternal() {
-		src, err := m.sys.Device(t.ExternalSource)
-		if err != nil {
-			return nil, fmt.Errorf("costmodel: task %v external source: %w", t.ID, err)
-		}
-		sameCluster = src.Station == dev.Station
-		// The source device uploads β for every placement choice.
-		add(t.ExternalSource, src.Link.UploadEnergy(t.ExternalSize))
-	}
-
-	input := t.InputSize()
-	cycles := m.cycles.Cycles(input)
-	result := m.result.ResultSize(input)
-	home := t.ID.User
-
-	switch l {
-	case SubsystemDevice:
-		if t.HasExternal() {
-			add(home, dev.Link.DownloadEnergy(t.ExternalSize))
-			if !sameCluster {
-				add(Infrastructure, m.sys.StationWire.TransferEnergy(t.ExternalSize))
-			}
-		}
-		add(home, dev.Proc.ExecEnergy(cycles))
-
-	case SubsystemStation:
-		if t.HasExternal() && !sameCluster {
-			add(Infrastructure, m.sys.StationWire.TransferEnergy(t.ExternalSize))
-		}
-		add(home, dev.Link.UploadEnergy(t.LocalSize))
-		add(home, dev.Link.DownloadEnergy(result))
-
-	case SubsystemCloud:
-		add(home, dev.Link.UploadEnergy(t.LocalSize))
-		add(home, dev.Link.DownloadEnergy(result))
-		add(Infrastructure, m.sys.CloudWire.TransferEnergy(input+result))
-
-	default:
-		return nil, fmt.Errorf("costmodel: task %v: invalid subsystem %d", t.ID, int(l))
 	}
 	return out, nil
 }

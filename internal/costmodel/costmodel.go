@@ -93,132 +93,29 @@ func (m *Model) Cycles(size units.ByteSize) units.Cycles {
 
 // Eval returns the cost of every placement choice for t.
 func (m *Model) Eval(t *task.Task) (Options, error) {
-	dev, err := m.sys.Device(t.ID.User)
+	p, err := m.place(t)
 	if err != nil {
-		return Options{}, fmt.Errorf("costmodel: task %v: %w", t.ID, err)
+		return Options{}, err
 	}
-
-	var (
-		src       *mecnet.Device
-		sameClust bool
-	)
-	if t.HasExternal() {
-		src, err = m.sys.Device(t.ExternalSource)
-		if err != nil {
-			return Options{}, fmt.Errorf("costmodel: task %v external source: %w", t.ID, err)
-		}
-		sameClust = src.Station == dev.Station
-	}
-
-	input := t.InputSize()
-	cycles := m.cycles.Cycles(input)
-	result := m.result.ResultSize(input)
-
 	var opts Options
-	opts.ByLevel[SubsystemDevice] = m.onDevice(t, dev, src, sameClust, cycles)
-	opts.ByLevel[SubsystemStation] = m.onStation(t, dev, src, sameClust, cycles, result)
-	opts.ByLevel[SubsystemCloud] = m.onCloud(t, dev, src, cycles, result)
+	var s Stages
+	for _, l := range Subsystems {
+		m.stages(&s, &p, l)
+		opts.ByLevel[l] = s.Cost()
+	}
 	return opts, nil
 }
 
-// onDevice is the l = 1 case: retrieve β_ij from the source device (via the
-// stations), then compute locally.
-//
-//	t^(R) = β/r_L^(U) + β/r_i^(D)            (+ t_B,B(β) across clusters)
-//	E^(R) = e_L^(T)(β) + e_i^(R)(β)          (+ e_B,B(β) across clusters)
-//	t^(C) = λ(α+β)/f_i,  E^(C) = κλ(α+β)f_i²
-func (m *Model) onDevice(t *task.Task, dev, src *mecnet.Device, sameClust bool, cycles units.Cycles) Cost {
-	var c Cost
-	if t.HasExternal() {
-		beta := t.ExternalSize
-		c.Time += src.Link.UploadTime(beta) + dev.Link.DownloadTime(beta)
-		c.Energy += src.Link.UploadEnergy(beta) + dev.Link.DownloadEnergy(beta)
-		if !sameClust {
-			c.Time += m.sys.StationWire.TransferTime(beta)
-			c.Energy += m.sys.StationWire.TransferEnergy(beta)
-		}
+// Stages returns the stage list of running t on subsystem l.
+func (m *Model) Stages(t *task.Task, l Subsystem) (Stages, error) {
+	p, err := m.place(t)
+	if err != nil {
+		return Stages{}, err
 	}
-	c.Time += dev.Proc.ExecTime(cycles)
-	c.Energy += dev.Proc.ExecEnergy(cycles)
-	return c
-}
-
-// onStation is the l = 2 case: the local data goes up from device i while
-// the external data goes up from device L (in parallel, hence the max);
-// the station computes (free, grid powered); the result comes back down to
-// device i.
-//
-//	t^(R) = max{β/r_L^(U) (+ t_B,B(β)), α/r_i^(U)} + η(α+β)/r_i^(D)
-//	E^(R) = e_L^(T)(β) + e_i^(T)(α) + e_i^(R)(η(α+β)) (+ e_B,B(β))
-//	t^(C) = λ(α+β)/f_s
-func (m *Model) onStation(t *task.Task, dev, src *mecnet.Device, sameClust bool, cycles units.Cycles, result units.ByteSize) Cost {
-	var c Cost
-	externalPath := units.Duration(0)
-	if t.HasExternal() {
-		beta := t.ExternalSize
-		externalPath = src.Link.UploadTime(beta)
-		c.Energy += src.Link.UploadEnergy(beta)
-		if !sameClust {
-			externalPath += m.sys.StationWire.TransferTime(beta)
-			c.Energy += m.sys.StationWire.TransferEnergy(beta)
-		}
+	var s Stages
+	m.stages(&s, &p, l)
+	if s.N == 0 {
+		return Stages{}, fmt.Errorf("costmodel: task %v: invalid subsystem %d", t.ID, int(l))
 	}
-	localPath := dev.Link.UploadTime(t.LocalSize)
-	c.Energy += dev.Link.UploadEnergy(t.LocalSize)
-
-	c.Time += units.DurationMax(externalPath, localPath)
-	c.Time += dev.Link.DownloadTime(result)
-	c.Energy += dev.Link.DownloadEnergy(result)
-
-	station := &m.sys.Stations[dev.Station]
-	c.Time += station.Proc.ExecTime(cycles)
-	c.Energy += station.Proc.ExecEnergy(cycles) // zero for grid-powered stations
-	return c
-}
-
-// onCloud is the l = 3 case: both inputs go up in parallel as for l = 2,
-// everything (inputs plus result) crosses the station-to-cloud backhaul,
-// the cloud computes, and the result comes down to device i.
-//
-//	t^(R) = max{β/r_L^(U), α/r_i^(U)} + η(α+β)/r_i^(D)
-//	        + t_B,C(α+β+η(α+β))
-//	E^(R) = e_L^(T)(β) + e_i^(T)(α) + e_i^(R)(η(α+β))
-//	        + e_B,C(α+β+η(α+β))
-//	t^(C) = λ(α+β)/f_c
-func (m *Model) onCloud(t *task.Task, dev, src *mecnet.Device, cycles units.Cycles, result units.ByteSize) Cost {
-	var c Cost
-	externalPath := units.Duration(0)
-	if t.HasExternal() {
-		beta := t.ExternalSize
-		externalPath = src.Link.UploadTime(beta)
-		c.Energy += src.Link.UploadEnergy(beta)
-	}
-	localPath := dev.Link.UploadTime(t.LocalSize)
-	c.Energy += dev.Link.UploadEnergy(t.LocalSize)
-
-	c.Time += units.DurationMax(externalPath, localPath)
-	c.Time += dev.Link.DownloadTime(result)
-	c.Energy += dev.Link.DownloadEnergy(result)
-
-	wan := t.InputSize() + result
-	c.Time += m.sys.CloudWire.TransferTime(wan)
-	c.Energy += m.sys.CloudWire.TransferEnergy(wan)
-
-	c.Time += m.sys.Cloud.Proc.ExecTime(cycles)
-	c.Energy += m.sys.Cloud.Proc.ExecEnergy(cycles) // zero for the grid-powered cloud
-	return c
-}
-
-// EvalAll evaluates every task of a set, returning costs keyed by task ID.
-func (m *Model) EvalAll(ts *task.Set) (map[task.ID]Options, error) {
-	out := make(map[task.ID]Options, ts.Len())
-	for i := 0; i < ts.Len(); i++ {
-		t := ts.At(i)
-		opts, err := m.Eval(t)
-		if err != nil {
-			return nil, err
-		}
-		out[t.ID] = opts
-	}
-	return out, nil
+	return s, nil
 }

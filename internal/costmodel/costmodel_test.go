@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -378,38 +379,163 @@ func TestCostsScaleWithInput(t *testing.T) {
 	}
 }
 
-func TestEvalAll(t *testing.T) {
-	m := newModel(t, testSystem(t))
-	mk := func(u, j int) *task.Task {
-		return &task.Task{
-			ID: task.ID{User: u, Index: j}, Kind: task.Holistic,
-			LocalSize: 100 * units.Kilobyte, ExternalSource: task.NoExternalSource,
-			Resource: 1, Deadline: units.Second,
-		}
+// refEval is Eval as the closed forms of Section II wrote it before the
+// stage list existed: one hand-written function per subsystem. It is the
+// bit-for-bit reference TestEvalMatchesClosedFormBits holds Eval to.
+func refEval(m *Model, t *task.Task) Options {
+	dev := &m.sys.Devices[t.ID.User]
+	var src *mecnet.Device
+	sameClust := false
+	if t.HasExternal() {
+		src = &m.sys.Devices[t.ExternalSource]
+		sameClust = src.Station == dev.Station
 	}
-	ts, err := task.NewSet(mk(0, 0), mk(1, 0), mk(2, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, err := m.EvalAll(ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 3 {
-		t.Errorf("EvalAll returned %d entries, want 3", len(all))
-	}
-	for id, opts := range all {
-		if opts.At(SubsystemDevice).Time <= 0 {
-			t.Errorf("task %v: non-positive device time", id)
-		}
-	}
+	input := t.InputSize()
+	cycles := m.cycles.Cycles(input)
+	result := m.result.ResultSize(input)
 
-	bad := mk(9, 0)
-	tsBad, err := task.NewSet(bad)
-	if err != nil {
-		t.Fatal(err)
+	var opts Options
+	opts.ByLevel[SubsystemDevice] = refOnDevice(m, t, dev, src, sameClust, cycles)
+	opts.ByLevel[SubsystemStation] = refOnStation(m, t, dev, src, sameClust, cycles, result)
+	opts.ByLevel[SubsystemCloud] = refOnCloud(m, t, dev, src, cycles, result)
+	return opts
+}
+
+func refOnDevice(m *Model, t *task.Task, dev, src *mecnet.Device, sameClust bool, cycles units.Cycles) Cost {
+	var c Cost
+	if t.HasExternal() {
+		beta := t.ExternalSize
+		c.Time += src.Link.UploadTime(beta) + dev.Link.DownloadTime(beta)
+		c.Energy += src.Link.UploadEnergy(beta) + dev.Link.DownloadEnergy(beta)
+		if !sameClust {
+			c.Time += m.sys.StationWire.TransferTime(beta)
+			c.Energy += m.sys.StationWire.TransferEnergy(beta)
+		}
 	}
-	if _, err := m.EvalAll(tsBad); err == nil {
-		t.Error("EvalAll with bad task should fail")
+	c.Time += dev.Proc.ExecTime(cycles)
+	c.Energy += dev.Proc.ExecEnergy(cycles)
+	return c
+}
+
+func refOnStation(m *Model, t *task.Task, dev, src *mecnet.Device, sameClust bool, cycles units.Cycles, result units.ByteSize) Cost {
+	var c Cost
+	externalPath := units.Duration(0)
+	if t.HasExternal() {
+		beta := t.ExternalSize
+		externalPath = src.Link.UploadTime(beta)
+		c.Energy += src.Link.UploadEnergy(beta)
+		if !sameClust {
+			externalPath += m.sys.StationWire.TransferTime(beta)
+			c.Energy += m.sys.StationWire.TransferEnergy(beta)
+		}
+	}
+	localPath := dev.Link.UploadTime(t.LocalSize)
+	c.Energy += dev.Link.UploadEnergy(t.LocalSize)
+
+	c.Time += units.DurationMax(externalPath, localPath)
+	c.Time += dev.Link.DownloadTime(result)
+	c.Energy += dev.Link.DownloadEnergy(result)
+
+	station := &m.sys.Stations[dev.Station]
+	c.Time += station.Proc.ExecTime(cycles)
+	c.Energy += station.Proc.ExecEnergy(cycles)
+	return c
+}
+
+func refOnCloud(m *Model, t *task.Task, dev, src *mecnet.Device, cycles units.Cycles, result units.ByteSize) Cost {
+	var c Cost
+	externalPath := units.Duration(0)
+	if t.HasExternal() {
+		beta := t.ExternalSize
+		externalPath = src.Link.UploadTime(beta)
+		c.Energy += src.Link.UploadEnergy(beta)
+	}
+	localPath := dev.Link.UploadTime(t.LocalSize)
+	c.Energy += dev.Link.UploadEnergy(t.LocalSize)
+
+	c.Time += units.DurationMax(externalPath, localPath)
+	c.Time += dev.Link.DownloadTime(result)
+	c.Energy += dev.Link.DownloadEnergy(result)
+
+	wan := t.InputSize() + result
+	c.Time += m.sys.CloudWire.TransferTime(wan)
+	c.Energy += m.sys.CloudWire.TransferEnergy(wan)
+
+	c.Time += m.sys.Cloud.Proc.ExecTime(cycles)
+	c.Energy += m.sys.Cloud.Proc.ExecEnergy(cycles)
+	return c
+}
+
+// randomTask draws a task on a random device of sys. kind 0 has no
+// external data, kind 1 reads it from another device of the same
+// cluster, kind 2 from a device of another cluster.
+func randomTask(r *rand.Rand, sys *mecnet.System, index, kind int) *task.Task {
+	n := sys.NumDevices()
+	user := rng.UniformInt(r, 0, n-1)
+	tk := &task.Task{
+		ID: task.ID{User: user, Index: index}, Kind: task.Holistic,
+		LocalSize:      units.ByteSize(rng.UniformInt(r, 1, 4_000_000)),
+		ExternalSource: task.NoExternalSource,
+		Resource:       1, Deadline: 10 * units.Second,
+	}
+	if kind == 0 {
+		return tk
+	}
+	home := sys.Devices[user].Station
+	for {
+		src := rng.UniformInt(r, 0, n-1)
+		same := sys.Devices[src].Station == home
+		if src != user && same == (kind == 1) {
+			tk.ExternalSource = src
+			break
+		}
+	}
+	tk.ExternalSize = units.ByteSize(rng.UniformInt(r, 1, 3_000_000))
+	return tk
+}
+
+func TestEvalMatchesClosedFormBits(t *testing.T) {
+	// Property: Eval reproduces the per-subsystem closed forms bit for
+	// bit, over generated systems with random λ and η, for tasks without
+	// external data and with same- and cross-cluster external data, and
+	// with grid CPUs both free (κ = 0) and charged (κ > 0).
+	r := rng.NewSource(41).Stream("bits")
+	placements := 0
+	for sysIdx := 0; sysIdx < 40; sysIdx++ {
+		sys, err := mecnet.Generate(r, mecnet.GenerateParams{NumDevices: 12, NumStations: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sysIdx%2 == 1 {
+			for s := range sys.Stations {
+				sys.Stations[s].Proc.Kappa = compute.DefaultKappa
+			}
+			sys.Cloud.Proc.Kappa = compute.DefaultKappa
+		}
+		m, err := New(sys,
+			compute.LinearCycles{PerByte: rng.Uniform(r, 50, 1000)},
+			compute.ProportionalResult{Ratio: rng.Uniform(r, 0.01, 1.5)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 150; trial++ {
+			tk := randomTask(r, sys, trial, trial%3)
+			got, err := m.Eval(tk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := refEval(m, tk)
+			for _, l := range Subsystems {
+				g, w := got.At(l), want.At(l)
+				if math.Float64bits(float64(g.Time)) != math.Float64bits(float64(w.Time)) ||
+					math.Float64bits(float64(g.Energy)) != math.Float64bits(float64(w.Energy)) {
+					t.Fatalf("system %d task %+v on %v: Eval %+v, closed form %+v", sysIdx, tk, l, g, w)
+				}
+				placements++
+			}
+		}
+	}
+	if placements != 40*150*3 {
+		t.Fatalf("checked %d placements", placements)
 	}
 }

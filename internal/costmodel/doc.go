@@ -13,4 +13,9 @@
 // The transmission terms depend on where the external data lives: same
 // cluster as the task's device, or another cluster (adding the
 // station-to-station backhaul).
+//
+// Model.Stages lists each placement's stages once: the uploads, wire
+// hops, computation and download, each with its resource, time, energy
+// and payer. Eval, Attribute and the discrete-event simulator all read
+// that list.
 package costmodel

@@ -68,21 +68,11 @@ func (e *engine) newPlan(taskIdx int32) int32 {
 	return pi
 }
 
-// addStage appends a root stage (no dependencies) to plan pi.
-func (e *engine) addStage(pi, res int32, service units.Duration) int32 {
-	return e.addStageJoin(pi, res, service, noIndex, noIndex)
-}
-
-// addStageAfter appends a stage depending on prev (noIndex makes the
-// stage a root).
-func (e *engine) addStageAfter(pi, res int32, service units.Duration, prev int32) int32 {
-	return e.addStageJoin(pi, res, service, prev, noIndex)
-}
-
-// addStageJoin appends a stage depending on up to two stages (noIndex
-// entries are skipped). The builder requires pi to be the most recently
-// created plan, keeping every plan's stages contiguous in the arena.
-func (e *engine) addStageJoin(pi, res int32, service units.Duration, d1, d2 int32) int32 {
+// addStage appends a stage to plan pi depending on up to two stages
+// (noIndex entries are skipped; two noIndex make a root). pi must be the
+// most recently created plan, which keeps every plan's stages contiguous
+// in the arena.
+func (e *engine) addStage(pi, res int32, service units.Duration, d1, d2 int32) int32 {
 	si := int32(len(e.stages))
 	deps := int8(0)
 	for _, d := range [2]int32{d1, d2} {

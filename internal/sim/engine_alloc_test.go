@@ -15,8 +15,8 @@ func hotLoopEngine() (e *engine, pi int32, reset func()) {
 	e = &engine{}
 	r := e.newResource(1, "dev.cpu")
 	pi = e.newPlan(noIndex)
-	a := e.addStage(pi, r, units.Duration(3))
-	b := e.addStageAfter(pi, r, units.Duration(5), a)
+	a := e.addStage(pi, r, units.Duration(3), noIndex, noIndex)
+	b := e.addStage(pi, r, units.Duration(5), a, noIndex)
 	reset = func() {
 		e.stages[a].waitingOn = 0
 		e.stages[b].waitingOn = 1

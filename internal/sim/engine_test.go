@@ -27,8 +27,8 @@ func TestEngineResourceAccounting(t *testing.T) {
 	var completions []units.Duration
 	for i := 0; i < 2; i++ {
 		pi := eng.newPlan(noIndex)
-		first := eng.addStage(pi, r1, 10*units.Second)
-		eng.addStageAfter(pi, r2, 5*units.Second, first)
+		first := eng.addStage(pi, r1, 10*units.Second, noIndex, noIndex)
+		eng.addStage(pi, r2, 5*units.Second, first, noIndex)
 		eng.plans[pi].onDone = func(finish units.Duration) {
 			completions = append(completions, finish)
 		}
@@ -122,7 +122,7 @@ func TestEngineTimedRelease(t *testing.T) {
 
 	var done units.Duration
 	pi := eng.newPlan(noIndex)
-	eng.addStage(pi, r, 3*units.Second)
+	eng.addStage(pi, r, 3*units.Second, noIndex, noIndex)
 	eng.plans[pi].onDone = func(finish units.Duration) { done = finish }
 	eng.releaseAt(pi, 7*units.Second)
 	eng.run()
@@ -150,7 +150,7 @@ func TestEngineDisabledMetrics(t *testing.T) {
 	r := eng.newResource(2, "r")
 	for i := 0; i < 3; i++ {
 		pi := eng.newPlan(noIndex)
-		eng.addStage(pi, r, units.Second)
+		eng.addStage(pi, r, units.Second, noIndex, noIndex)
 		eng.release(pi)
 	}
 	eng.run()

@@ -372,56 +372,39 @@ type degWindow struct {
 // transition events, the degraded-state flags recovery consults, the
 // per-resource degradation windows, and the event log. Resources are
 // identified by their engine arena index throughout (the arena is fully
-// built before the runner is wired, so the parallel slices never resize).
+// built before the runner is wired, so deg never resizes).
 type faultRunner struct {
 	plan        *FaultPlan
 	policy      RecoveryPolicy
 	replanner   *core.Replanner
+	lay         layout
 	stationDown []bool
 	deviceGone  []bool
-	names       []string      // per resource index: label for log lines
-	backhaul    []bool        // per resource index: transfer timeouts apply
 	deg         [][]degWindow // per resource index: degradation windows
 	log         []FaultEvent
 	stats       FaultStats
 	logger      *obs.Logger // mirrors the event log to slog; nil disables
 }
 
-// newFaultRunner wires the plan into the engine: classifies resources,
-// installs degradation windows, and schedules every topology transition
-// as an engine event.
-func newFaultRunner(eng *engine, plan *FaultPlan, sys *mecnet.System, m *costmodel.Model, res planResources) *faultRunner {
+// newFaultRunner wires the plan into the engine: it installs degradation
+// windows and schedules every topology transition as an engine event.
+func newFaultRunner(eng *engine, plan *FaultPlan, m *costmodel.Model, lay layout) *faultRunner {
 	fr := &faultRunner{
 		plan:        plan,
 		policy:      plan.Recovery.withDefaults(),
 		replanner:   core.NewReplanner(m),
-		stationDown: make([]bool, sys.NumStations()),
-		deviceGone:  make([]bool, sys.NumDevices()),
-		names:       make([]string, len(eng.resources)),
-		backhaul:    make([]bool, len(eng.resources)),
+		lay:         lay,
+		stationDown: make([]bool, lay.stations),
+		deviceGone:  make([]bool, lay.devices),
 		deg:         make([][]degWindow, len(eng.resources)),
 		logger:      eng.ins.Logger(),
 	}
-	for i := range res.devUp {
-		fr.names[res.devUp[i]] = fmt.Sprintf("dev.up[%d]", i)
-		fr.names[res.devDown[i]] = fmt.Sprintf("dev.down[%d]", i)
-		fr.names[res.devCPU[i]] = fmt.Sprintf("dev.cpu[%d]", i)
-	}
-	for s := range res.stWire {
-		fr.names[res.stWire[s]] = fmt.Sprintf("st.wire[%d]", s)
-		fr.backhaul[res.stWire[s]] = true
-		fr.names[res.stWAN[s]] = fmt.Sprintf("st.wan[%d]", s)
-		fr.backhaul[res.stWAN[s]] = true
-		fr.names[res.stCPU[s]] = fmt.Sprintf("st.cpu[%d]", s)
-	}
-	fr.names[res.cloudCPU] = "cloud.cpu"
 	eng.flt = fr
 
 	// Overlapping outages of one station merge into one down window, so
 	// a repair in the middle of a longer outage cannot resurrect it.
-	for s, iv := range mergeOutages(plan.StationOutages, sys.NumStations()) {
+	for s, iv := range mergeOutages(plan.StationOutages, lay.stations) {
 		station := s
-		group := [3]int32{res.stWire[station], res.stWAN[station], res.stCPU[station]}
 		for _, w := range iv {
 			up := w.to
 			eng.scheduleAction(w.from, func(at units.Duration) {
@@ -429,15 +412,15 @@ func newFaultRunner(eng *engine, plan *FaultPlan, sys *mecnet.System, m *costmod
 				fr.stationDown[station] = true
 				fr.replanner.MarkStation(station)
 				fr.record(at, "station.down", fmt.Sprintf("station=%d until=%.6fs", station, up.Seconds()))
-				for _, ri := range group {
-					eng.outage(ri, at, fmt.Sprintf("station %d outage", station))
+				for c := costmodel.StWire; c <= costmodel.StCPU; c++ {
+					eng.outage(lay.index(c, station), at, fmt.Sprintf("station %d outage", station))
 				}
 			})
 			eng.scheduleAction(up, func(at units.Duration) {
 				fr.stationDown[station] = false
 				fr.record(at, "station.up", fmt.Sprintf("station=%d", station))
-				for _, ri := range group {
-					eng.repair(ri)
+				for c := costmodel.StWire; c <= costmodel.StCPU; c++ {
+					eng.repair(lay.index(c, station))
 				}
 			})
 		}
@@ -445,7 +428,6 @@ func newFaultRunner(eng *engine, plan *FaultPlan, sys *mecnet.System, m *costmod
 
 	for _, d := range plan.DeviceDepartures {
 		dep := d
-		group := [3]int32{res.devUp[dep.Device], res.devDown[dep.Device], res.devCPU[dep.Device]}
 		eng.scheduleAction(dep.At, func(at units.Duration) {
 			if fr.deviceGone[dep.Device] {
 				return // duplicate departure entry
@@ -454,17 +436,17 @@ func newFaultRunner(eng *engine, plan *FaultPlan, sys *mecnet.System, m *costmod
 			fr.deviceGone[dep.Device] = true
 			fr.replanner.MarkDevice(dep.Device)
 			fr.record(at, "device.leave", fmt.Sprintf("device=%d", dep.Device))
-			for _, ri := range group {
-				eng.outage(ri, at, fmt.Sprintf("device %d departed", dep.Device))
+			for c := costmodel.DevUp; c <= costmodel.DevCPU; c++ {
+				eng.outage(lay.index(c, dep.Device), at, fmt.Sprintf("device %d departed", dep.Device))
 			}
 		})
 	}
 
 	for _, g := range plan.LinkDegradations {
 		deg := g
-		ri := res.stWire[deg.Station]
+		ri := lay.index(costmodel.StWire, deg.Station)
 		if deg.Link == LinkWAN {
-			ri = res.stWAN[deg.Station]
+			ri = lay.index(costmodel.StWAN, deg.Station)
 		}
 		to := deg.At + deg.Duration
 		fr.deg[ri] = append(fr.deg[ri], degWindow{from: deg.At, to: to, slowdown: deg.Slowdown})
@@ -543,7 +525,7 @@ func (fr *faultRunner) serviceTime(ri int32, service, now units.Duration) units.
 // transferTimeout returns the plan's timeout for backhaul resources, zero
 // elsewhere.
 func (fr *faultRunner) transferTimeout(ri int32) units.Duration {
-	if fr.backhaul[ri] {
+	if c, _ := fr.lay.at(ri); c == costmodel.StWire || c == costmodel.StWAN {
 		return fr.plan.TransferTimeout
 	}
 	return 0
@@ -551,12 +533,12 @@ func (fr *faultRunner) transferTimeout(ri int32) units.Duration {
 
 // downReason labels an arrival-on-downed-resource failure.
 func (fr *faultRunner) downReason(ri int32) string {
-	return fr.names[ri] + " down"
+	return fr.lay.name(ri) + " down"
 }
 
 // timeoutReason labels a transfer-timeout failure.
 func (fr *faultRunner) timeoutReason(ri int32) string {
-	return "transfer timeout on " + fr.names[ri]
+	return "transfer timeout on " + fr.lay.name(ri)
 }
 
 // survivors snapshots the degraded topology for replan-on-survivors.
@@ -575,12 +557,11 @@ type attempt struct {
 	fr       *faultRunner
 	m        *costmodel.Model
 	res      *Result
-	pools    planResources
 	energyOf []units.Energy // dense per-task, shared by all attempts
 
 	t          *task.Task
-	tIdx       int32 // dense task-set index
-	opts       costmodel.Options
+	tIdx       int32          // dense task-set index
+	cost       costmodel.Cost // analytic cost of the launched placement
 	release    units.Duration
 	placement  costmodel.Subsystem
 	retries    int
@@ -592,14 +573,16 @@ type attempt struct {
 // given time. Each launch refreshes the task's recorded analytic energy so
 // the final accounting charges the placement that actually completed.
 func (a *attempt) launch(at units.Duration) error {
-	pi, err := buildPlan(a.eng, a.m, a.t, a.tIdx, a.placement, a.pools)
+	st, err := a.m.Stages(a.t, a.placement)
 	if err != nil {
 		return err
 	}
+	pi := buildPlan(a.eng, a.fr.lay, &st, a.tIdx)
 	a.fr.stats.Attempts++
-	a.energyOf[a.tIdx] = a.opts.At(a.placement).Energy
+	a.cost = st.Cost()
+	a.energyOf[a.tIdx] = a.cost.Energy
 	placement := a.placement
-	analytic := a.opts.At(placement).Time
+	analytic := a.cost.Time
 	p := &a.eng.plans[pi]
 	p.onDone = func(finish units.Duration) {
 		o := &a.res.Outcomes[a.tIdx]
@@ -627,7 +610,7 @@ func (a *attempt) fail(pi int32, at units.Duration, reason string) {
 	if a.eng.plans[pi].anyStarted {
 		// The attempt drew real power before dying; charge its full
 		// analytic energy as waste.
-		fr.stats.WastedEnergy += a.opts.At(a.placement).Energy
+		fr.stats.WastedEnergy += a.cost.Energy
 	}
 	fr.record(at, "attempt.fail", fmt.Sprintf("task=%v subsystem=%v reason=%q", a.t.ID, a.placement, reason))
 

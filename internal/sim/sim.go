@@ -5,7 +5,6 @@ import (
 
 	"dsmec/internal/core"
 	"dsmec/internal/costmodel"
-	"dsmec/internal/mecnet"
 	"dsmec/internal/obs"
 	"dsmec/internal/stats"
 	"dsmec/internal/task"
@@ -138,30 +137,17 @@ func RunReleases(m *costmodel.Model, ts *task.Set, a *core.Assignment, cfg Confi
 	// Size the arenas exactly before anything is appended: the plan and
 	// stage counts follow from the assignment alone, and the resource
 	// count from the topology, so the builder never pays append-doubling.
-	nplans, nstages := countStages(sys, ts, a)
-	eng.reserve(nplans, nstages, 3*sys.NumDevices()+3*sys.NumStations()+1)
-
-	// Build resources.
-	devUp := make([]int32, sys.NumDevices())
-	devDown := make([]int32, sys.NumDevices())
-	devCPU := make([]int32, sys.NumDevices())
-	for i := range devUp {
-		devUp[i] = eng.newResource(1, "dev.up")
-		devDown[i] = eng.newResource(1, "dev.down")
-		devCPU[i] = eng.newResource(1, "dev.cpu")
+	lay := layout{devices: sys.NumDevices(), stations: sys.NumStations()}
+	nplans, nstages := countStages(m, ts, a)
+	eng.reserve(nplans, nstages, lay.size())
+	servers := [...]int{
+		costmodel.DevUp: 1, costmodel.DevDown: 1, costmodel.DevCPU: 1,
+		costmodel.StWire: 1, costmodel.StWAN: 1, costmodel.StCPU: cfg.StationCores,
+		costmodel.CloudCPU: cfg.CloudCores,
 	}
-	stWire := make([]int32, sys.NumStations())
-	stWAN := make([]int32, sys.NumStations())
-	stCPU := make([]int32, sys.NumStations())
-	for s := range stWire {
-		stWire[s] = eng.newResource(1, "st.wire")
-		stWAN[s] = eng.newResource(1, "st.wan")
-		stCPU[s] = eng.newResource(cfg.StationCores, "st.cpu")
-	}
-	cloudCPU := eng.newResource(cfg.CloudCores, "cloud.cpu")
-	pools := planResources{
-		devUp: devUp, devDown: devDown, devCPU: devCPU,
-		stWire: stWire, stWAN: stWAN, stCPU: stCPU, cloudCPU: cloudCPU,
+	for ri := range lay.size() {
+		c, _ := lay.at(int32(ri))
+		eng.newResource(servers[c], c.String())
 	}
 
 	var fr *faultRunner
@@ -169,7 +155,7 @@ func RunReleases(m *costmodel.Model, ts *task.Set, a *core.Assignment, cfg Confi
 		if err := cfg.Faults.Validate(sys); err != nil {
 			return nil, err
 		}
-		fr = newFaultRunner(eng, cfg.Faults, sys, m, pools)
+		fr = newFaultRunner(eng, cfg.Faults, m, lay)
 	}
 
 	// Under fault injection, energyOf holds each task's analytic energy
@@ -200,15 +186,11 @@ func RunReleases(m *costmodel.Model, ts *task.Set, a *core.Assignment, cfg Confi
 		if !ok {
 			return nil, fmt.Errorf("sim: task %v missing from assignment", t.ID)
 		}
-		switch l {
-		case costmodel.SubsystemNone:
+		if l == costmodel.SubsystemNone {
 			res.Cancelled++
 			continue
-		case costmodel.SubsystemDevice, costmodel.SubsystemStation, costmodel.SubsystemCloud:
-		default:
-			return nil, fmt.Errorf("sim: task %v has invalid subsystem %d", t.ID, int(l))
 		}
-		opts, err := m.Eval(t)
+		st, err := m.Stages(t, l)
 		if err != nil {
 			return nil, err
 		}
@@ -219,8 +201,8 @@ func RunReleases(m *costmodel.Model, ts *task.Set, a *core.Assignment, cfg Confi
 
 		if fr != nil {
 			att := &attempt{
-				eng: eng, fr: fr, m: m, res: res, pools: pools, energyOf: energyOf,
-				t: t, tIdx: int32(i), opts: opts, release: release, placement: l,
+				eng: eng, fr: fr, m: m, res: res, energyOf: energyOf,
+				t: t, tIdx: int32(i), release: release, placement: l,
 			}
 			if err := att.launch(release); err != nil {
 				return nil, err
@@ -228,15 +210,13 @@ func RunReleases(m *costmodel.Model, ts *task.Set, a *core.Assignment, cfg Confi
 			continue
 		}
 
-		res.TotalEnergy += opts.At(l).Energy
-		pi, err := buildPlan(eng, m, t, int32(i), l, pools)
-		if err != nil {
-			return nil, err
-		}
+		c := st.Cost()
+		res.TotalEnergy += c.Energy
+		pi := buildPlan(eng, lay, &st, int32(i))
 		o := &res.Outcomes[i]
 		o.Subsystem = l
 		o.Release = release
-		o.Analytic = opts.At(l).Time
+		o.Analytic = c.Time
 		eng.releaseAt(pi, release)
 	}
 	buildSpan.End()
@@ -322,142 +302,91 @@ func RunReleases(m *costmodel.Model, ts *task.Set, a *core.Assignment, cfg Confi
 	return res, nil
 }
 
-// planResources groups the resource pools (engine arena indices) for plan
-// construction.
-type planResources struct {
-	devUp, devDown, devCPU []int32
-	stWire, stWAN, stCPU   []int32
-	cloudCPU               int32
+// layout is the engine's resource arena as Run builds it: three
+// resources per device (dev.up, dev.down, dev.cpu), three per station
+// (st.wire, st.wan, st.cpu), then the cloud CPU. A stage's resource
+// follows from its class and owner.
+type layout struct{ devices, stations int }
+
+func (l layout) size() int { return 3*l.devices + 3*l.stations + 1 }
+
+// index returns the arena index of owner's class-c resource.
+func (l layout) index(c costmodel.Class, owner int) int32 {
+	switch {
+	case c <= costmodel.DevCPU:
+		return int32(3*owner + int(c-costmodel.DevUp))
+	case c <= costmodel.StCPU:
+		return int32(3*l.devices + 3*owner + int(c-costmodel.StWire))
+	default:
+		return int32(3*l.devices + 3*l.stations)
+	}
 }
 
-// countStages mirrors buildPlan's branching to compute the exact plan
-// and stage totals for an assignment before any plan is built. Tasks the
-// build loop will reject (missing from the assignment, invalid placement,
-// out-of-range device references) count zero here and fail there; the
-// reservation is then merely an underestimate, never wrong output.
-func countStages(sys *mecnet.System, ts *task.Set, a *core.Assignment) (nplans, nstages int) {
+// at is index's inverse: the class and owner of resource ri.
+func (l layout) at(ri int32) (costmodel.Class, int) {
+	i := int(ri)
+	if i < 3*l.devices {
+		return costmodel.DevUp + costmodel.Class(i%3), i / 3
+	}
+	if i -= 3 * l.devices; i < 3*l.stations {
+		return costmodel.StWire + costmodel.Class(i%3), i / 3
+	}
+	return costmodel.CloudCPU, 0
+}
+
+// name labels resource ri in fault log lines, e.g. "st.wan[3]".
+func (l layout) name(ri int32) string {
+	c, owner := l.at(ri)
+	if c == costmodel.CloudCPU {
+		return c.String()
+	}
+	return fmt.Sprintf("%s[%d]", c, owner)
+}
+
+// countStages sums the stage-list lengths of the placed tasks, so Run
+// can size the arenas exactly before building any plan. Tasks the build
+// loop will reject count zero here and fail there; the reservation is
+// then merely an underestimate, never wrong output.
+func countStages(m *costmodel.Model, ts *task.Set, a *core.Assignment) (nplans, nstages int) {
 	for i := 0; i < ts.Len(); i++ {
-		t := ts.At(i)
 		l, ok := a.LevelFor(ts, i)
-		if !ok {
+		if !ok || l == costmodel.SubsystemNone {
 			continue
 		}
-		if t.ID.User < 0 || t.ID.User >= len(sys.Devices) {
-			continue
+		if st, err := m.Stages(ts.At(i), l); err == nil {
+			nplans++
+			nstages += int(st.N)
 		}
-		station := sys.Devices[t.ID.User].Station
-		ext := t.HasExternal()
-		cross := false
-		if ext {
-			if t.ExternalSource < 0 || t.ExternalSource >= len(sys.Devices) {
-				continue
-			}
-			cross = sys.Devices[t.ExternalSource].Station != station
-		}
-		n := 0
-		switch l {
-		case costmodel.SubsystemDevice:
-			n = 1 // device CPU
-			if ext {
-				n += 2 // source upload + home download
-				if cross {
-					n++ // inter-station wire hop
-				}
-			}
-		case costmodel.SubsystemStation:
-			n = 3 // local upload, station exec, download
-			if ext {
-				n++ // source upload
-				if cross {
-					n++ // inter-station wire hop
-				}
-			}
-		case costmodel.SubsystemCloud:
-			n = 4 // local upload, WAN crossing, cloud exec, download
-			if ext {
-				n++ // source upload
-			}
-		default:
-			continue
-		}
-		nplans++
-		nstages += n
 	}
 	return nplans, nstages
 }
 
-// buildPlan translates the Section II transfer/compute structure of
-// placement l into a stage DAG in the engine's arena, bound to the dense
-// task index ti, and returns the plan's arena index.
-func buildPlan(e *engine, m *costmodel.Model, t *task.Task, ti int32, l costmodel.Subsystem, r planResources) (int32, error) {
-	sys := m.System()
-	dev, err := sys.Device(t.ID.User)
-	if err != nil {
-		return noIndex, fmt.Errorf("sim: %w", err)
-	}
-	home := t.ID.User
-	station := dev.Station
-
-	var src int
-	sameCluster := true
-	if t.HasExternal() {
-		s, err := sys.Device(t.ExternalSource)
-		if err != nil {
-			return noIndex, fmt.Errorf("sim: %w", err)
-		}
-		src = t.ExternalSource
-		sameCluster = s.Station == station
-	}
-
-	input := t.InputSize()
-	cycles := m.Cycles(input)
-	result := m.ResultSize(input)
+// buildPlan adds a placement's stage list to the engine arena as one plan
+// bound to the dense task index ti and returns the plan's arena index.
+// It adds the first listed stage whose predecessors are all in the arena,
+// then the next: that reproduces the order the roots are enqueued in,
+// which sets the event sequence numbers.
+func buildPlan(e *engine, lay layout, st *costmodel.Stages, ti int32) int32 {
 	pi := e.newPlan(ti)
-
-	switch l {
-	case costmodel.SubsystemDevice:
-		prev := noIndex
-		if t.HasExternal() {
-			beta := t.ExternalSize
-			srcDev := &sys.Devices[src]
-			prev = e.addStage(pi, r.devUp[src], srcDev.Link.UploadTime(beta))
-			if !sameCluster {
-				prev = e.addStageAfter(pi, r.stWire[srcDev.Station], sys.StationWire.TransferTime(beta), prev)
+	var at [costmodel.MaxStages]int32 // arena index of each listed stage
+	var in uint8                      // bit i: listed stage i is in the arena
+	for in != 1<<st.N-1 {
+		for i := range st.N {
+			s := &st.List[i]
+			ready := in&(1<<i) == 0
+			deps := [2]int32{noIndex, noIndex}
+			for k, p := range s.After {
+				if p >= 0 {
+					ready = ready && in&(1<<p) != 0
+					deps[k] = at[p]
+				}
 			}
-			prev = e.addStageAfter(pi, r.devDown[home], dev.Link.DownloadTime(beta), prev)
-		}
-		e.addStageAfter(pi, r.devCPU[home], dev.Proc.ExecTime(cycles), prev)
-
-	case costmodel.SubsystemStation:
-		ext := noIndex
-		if t.HasExternal() {
-			beta := t.ExternalSize
-			srcDev := &sys.Devices[src]
-			ext = e.addStage(pi, r.devUp[src], srcDev.Link.UploadTime(beta))
-			if !sameCluster {
-				ext = e.addStageAfter(pi, r.stWire[srcDev.Station], sys.StationWire.TransferTime(beta), ext)
+			if ready {
+				at[i] = e.addStage(pi, lay.index(s.Class, int(s.Owner)), s.Time, deps[0], deps[1])
+				in |= 1 << i
+				break
 			}
 		}
-		local := e.addStage(pi, r.devUp[home], dev.Link.UploadTime(t.LocalSize))
-		exec := e.addStageJoin(pi, r.stCPU[station], sys.Stations[station].Proc.ExecTime(cycles), ext, local)
-		e.addStageAfter(pi, r.devDown[home], dev.Link.DownloadTime(result), exec)
-
-	case costmodel.SubsystemCloud:
-		ext := noIndex
-		if t.HasExternal() {
-			beta := t.ExternalSize
-			srcDev := &sys.Devices[src]
-			ext = e.addStage(pi, r.devUp[src], srcDev.Link.UploadTime(beta))
-		}
-		local := e.addStage(pi, r.devUp[home], dev.Link.UploadTime(t.LocalSize))
-		// Mirror the analytic t_B,C(α+β+η): one WAN crossing charged for
-		// the full round-trip volume.
-		wan := e.addStageJoin(pi, r.stWAN[station], sys.CloudWire.TransferTime(input+result), ext, local)
-		exec := e.addStageAfter(pi, r.cloudCPU, sys.Cloud.Proc.ExecTime(cycles), wan)
-		e.addStageAfter(pi, r.devDown[home], dev.Link.DownloadTime(result), exec)
-
-	default:
-		return noIndex, fmt.Errorf("sim: task %v has invalid subsystem %d", t.ID, int(l))
 	}
-	return pi, nil
+	return pi
 }

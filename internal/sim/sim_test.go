@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"dsmec/internal/backhaul"
@@ -65,6 +66,7 @@ func TestUncontendedMatchesAnalytic(t *testing.T) {
 		{"local no-external cloud", mkTask(0, 0, 1000*units.Kilobyte, 0, task.NoExternalSource), costmodel.SubsystemCloud},
 		{"same-cluster external device", mkTask(0, 0, 800*units.Kilobyte, 300*units.Kilobyte, 1), costmodel.SubsystemDevice},
 		{"same-cluster external station", mkTask(0, 0, 800*units.Kilobyte, 300*units.Kilobyte, 1), costmodel.SubsystemStation},
+		{"same-cluster external cloud", mkTask(0, 0, 800*units.Kilobyte, 300*units.Kilobyte, 1), costmodel.SubsystemCloud},
 		{"cross-cluster external device", mkTask(0, 0, 800*units.Kilobyte, 300*units.Kilobyte, 2), costmodel.SubsystemDevice},
 		{"cross-cluster external station", mkTask(0, 0, 800*units.Kilobyte, 300*units.Kilobyte, 2), costmodel.SubsystemStation},
 		{"cross-cluster external cloud", mkTask(0, 0, 800*units.Kilobyte, 300*units.Kilobyte, 2), costmodel.SubsystemCloud},
@@ -93,6 +95,147 @@ func TestUncontendedMatchesAnalytic(t *testing.T) {
 				t.Error("generous deadline should be met")
 			}
 		})
+	}
+}
+
+// FuzzReplayAlone is the replay-alone oracle: one task, alone in a
+// three-device, two-station system, replayed on each placement. The
+// engine adds the same stage times as Eval but in dependency order, so
+// the completion matches t_ijl only up to rounding; the attributed
+// energy must sum to E_ijl, and the plan must hold exactly the stages of
+// the placement's list.
+func FuzzReplayAlone(f *testing.F) {
+	links := [2]radio.Link{radio.FourG, radio.WiFi}
+	f.Fuzz(func(t *testing.T, local, external uint32, homeLink, srcLink, source uint8, gridKappa bool) {
+		sys := &mecnet.System{
+			Devices: []mecnet.Device{
+				{Station: 0, Link: links[homeLink%2], Proc: compute.DeviceProcessor(1 * units.Gigahertz), ResourceCap: 100},
+				{Station: 0, Link: links[srcLink%2], Proc: compute.DeviceProcessor(2 * units.Gigahertz), ResourceCap: 100},
+				{Station: 1, Link: links[srcLink%2], Proc: compute.DeviceProcessor(1.5 * units.Gigahertz), ResourceCap: 100},
+			},
+			Stations: []mecnet.Station{
+				{Proc: compute.StationProcessor(), ResourceCap: 1000},
+				{Proc: compute.StationProcessor(), ResourceCap: 1000},
+			},
+			Cloud:       mecnet.Cloud{Proc: compute.CloudProcessor()},
+			StationWire: backhaul.DefaultStationToStation(),
+			CloudWire:   backhaul.DefaultStationToCloud(),
+		}
+		if gridKappa {
+			for s := range sys.Stations {
+				sys.Stations[s].Proc.Kappa = compute.DefaultKappa
+			}
+			sys.Cloud.Proc.Kappa = compute.DefaultKappa
+		}
+		m, err := costmodel.New(sys, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Source 0 reads no external data, 1 reads it from the same
+		// cluster, 2 from the other one.
+		src, ext := int(source%3), units.ByteSize(external%(64<<20))
+		if src == 0 || ext == 0 {
+			src, ext = task.NoExternalSource, 0
+		}
+		tk := mkTask(0, 0, units.ByteSize(local%(64<<20)), ext, src)
+		tk.Deadline = units.Forever
+		opts, err := m.Eval(tk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts, err := task.NewSet(tk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		relErr := func(got, want float64) float64 {
+			if want == 0 {
+				return math.Abs(got)
+			}
+			return math.Abs(got-want) / want
+		}
+		for _, l := range costmodel.Subsystems {
+			want := opts.At(l)
+			a := core.NewAssignment(ts)
+			a.Place(tk.ID, l)
+			res, err := Run(m, ts, a, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			o, _ := res.Outcome(tk.ID)
+			if e := relErr(o.Completion.Seconds(), want.Time.Seconds()); e > 1e-12 {
+				t.Errorf("%v: completion %v, t_ijl %v (relative error %g)", l, o.Completion, want.Time, e)
+			}
+			attr, err := m.Attribute(tk, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e := relErr(attr.Total().Joules(), want.Energy.Joules()); e > 1e-12 {
+				t.Errorf("%v: attributed energy %v, E_ijl %v (relative error %g)", l, attr.Total(), want.Energy, e)
+			}
+			st, err := m.Stages(tk, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := &engine{}
+			pi := buildPlan(eng, layout{devices: 3, stations: 2}, &st, 0)
+			if n := eng.plans[pi].n; n != int32(st.N) {
+				t.Errorf("%v: plan holds %d stages, list has %d", l, n, st.N)
+			}
+			if _, n := countStages(m, ts, a); n != int(st.N) {
+				t.Errorf("%v: countStages counts %d stages, list has %d", l, n, st.N)
+			}
+		}
+	})
+}
+
+func TestLayoutIndexInvertsAt(t *testing.T) {
+	lay := layout{devices: 4, stations: 3}
+	for ri := range int32(lay.size()) {
+		c, owner := lay.at(ri)
+		if got := lay.index(c, owner); got != ri {
+			t.Errorf("resource %d is %v[%d], whose index is %d", ri, c, owner, got)
+		}
+	}
+	if c, _ := lay.at(int32(lay.size() - 1)); c != costmodel.CloudCPU {
+		t.Errorf("last resource is %v, want the cloud CPU", c)
+	}
+}
+
+func TestBuildPlanArenaOrder(t *testing.T) {
+	// The arena order sets the roots' enqueue order and hence the event
+	// sequence numbers, so it is pinned for all six plan shapes: each
+	// placement with and without external data (cross-cluster, so the
+	// wire hop appears where it can).
+	m := testModel(t)
+	local := mkTask(0, 0, 800*units.Kilobyte, 0, task.NoExternalSource)
+	cross := mkTask(0, 0, 800*units.Kilobyte, 300*units.Kilobyte, 2)
+	cases := []struct {
+		tk   *task.Task
+		l    costmodel.Subsystem
+		want string
+	}{
+		{local, costmodel.SubsystemDevice, "dev.cpu[0]"},
+		{cross, costmodel.SubsystemDevice, "dev.up[2] st.wire[1] dev.down[0] dev.cpu[0]"},
+		{local, costmodel.SubsystemStation, "dev.up[0] st.cpu[0] dev.down[0]"},
+		{cross, costmodel.SubsystemStation, "dev.up[2] st.wire[1] dev.up[0] st.cpu[0] dev.down[0]"},
+		{local, costmodel.SubsystemCloud, "dev.up[0] st.wan[0] cloud.cpu dev.down[0]"},
+		{cross, costmodel.SubsystemCloud, "dev.up[2] dev.up[0] st.wan[0] cloud.cpu dev.down[0]"},
+	}
+	lay := layout{devices: 3, stations: 2}
+	for _, tc := range cases {
+		st, err := m.Stages(tc.tk, tc.l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := &engine{}
+		buildPlan(eng, lay, &st, 0)
+		var got []string
+		for _, s := range eng.stages {
+			got = append(got, lay.name(s.res))
+		}
+		if g := strings.Join(got, " "); g != tc.want {
+			t.Errorf("%v with external %v: arena order %q, want %q", tc.l, tc.tk.HasExternal(), g, tc.want)
+		}
 	}
 }
 

@@ -2,9 +2,10 @@
 # vet, build, the full test suite under the race detector, a
 # single-iteration benchmark smoke run so the perf harness can't rot, a
 # few seconds of fuzzing the scenario decoder, the cluster solver, the
-# data-division matcher and the replay-alone oracle, the meclint
-# static-analysis suite (which includes the docs and links checks — see
-# docs/LINTING.md), staticcheck when fetchable, a mecstat smoke over its
+# data-division matcher, the replay-alone oracle and LP-HTA against its
+# guarantees and the exact optimum, the meclint static-analysis suite
+# (which includes the docs and links checks — see docs/LINTING.md),
+# staticcheck when fetchable, a mecstat smoke over its
 # committed fixtures, a mecd service smoke that boots the daemon on a
 # loopback port and drives one arrival/assign/departure cycle through
 # the live HTTP API, and the e2ebench module's own tests.
@@ -89,7 +90,9 @@ bench-smoke:
 # the greedies, the counting bound and exhaustive search (internal/cover
 # FuzzOptimalMaxLoad), and one task replayed alone in the discrete-event
 # simulator on each placement against the cost model's t_ijl and E_ijl
-# (internal/sim FuzzReplayAlone). `go test -fuzz` runs one target per
+# (internal/sim FuzzReplayAlone), and LP-HTA on small generated
+# scenarios against C1–C5, the Theorem 2 bound and the branch-and-bound
+# optimum (internal/core FuzzLPHTA). `go test -fuzz` runs one target per
 # invocation. A crasher lands in the package's testdata/fuzz/<target>
 # directory; commit it as a regression case.
 fuzz-smoke:
@@ -97,6 +100,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzClusterRelaxation -fuzztime 5s ./internal/core/
 	$(GO) test -run xxx -fuzz FuzzOptimalMaxLoad -fuzztime 5s ./internal/cover/
 	$(GO) test -run xxx -fuzz FuzzReplayAlone -fuzztime 5s ./internal/sim/
+	$(GO) test -run xxx -fuzz FuzzLPHTA -fuzztime 5s ./internal/core/
 
 # The repository benchmark is its own module (e2ebench/go.mod), so
 # `go test ./...` at the root never reaches it. This runs its tests

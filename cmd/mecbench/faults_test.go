@@ -37,6 +37,23 @@ func TestGoldenSimcheck(t *testing.T) {
 	}
 }
 
+// TestGoldenRatio locks the exact-optimum experiment at its default
+// trials: every proven optimum, and the count of node-limited and
+// over-constrained instances each row leaves out.
+func TestGoldenRatio(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "golden_ratio.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run([]string{"-experiment", "ratio", "-seed", "1"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if got := stripTimings(out.String()); got != string(want) {
+		t.Errorf("ratio output drifted from golden:\n%s", got)
+	}
+}
+
 func TestRobustnessExperiment(t *testing.T) {
 	var out strings.Builder
 	err := run([]string{"-experiment", "robustness", "-quick", "-trials", "1", "-seed", "3", "-fault-seed", "2"}, &out)

@@ -295,15 +295,6 @@ func NewRunManifest(tool string, args []string) *RunManifest {
 	return obs.NewManifest(tool, args)
 }
 
-// SetGlobalMetrics installs the process-wide default registry that
-// instrumented code without an explicit Instruments value records to
-// (nil disables).
-func SetGlobalMetrics(reg *MetricRegistry) { obs.SetGlobal(reg) }
-
-// GlobalMetrics returns the process-wide default registry, nil when
-// disabled.
-func GlobalMetrics() *MetricRegistry { return obs.Global() }
-
 // Live introspection: structured logging, the exposition server, and
 // periodic registry snapshots.
 type (
@@ -328,15 +319,6 @@ type (
 func NewLogger(w io.Writer, level, format string) (*Logger, error) {
 	return obs.NewLogger(w, level, format)
 }
-
-// SetGlobalLogger installs the process-wide default logger that
-// instrumented code without an explicit Instruments.Log records to (nil
-// disables).
-func SetGlobalLogger(l *Logger) { obs.SetGlobalLogger(l) }
-
-// GlobalLogger returns the process-wide default logger, nil when
-// disabled.
-func GlobalLogger() *Logger { return obs.GlobalLogger() }
 
 // NewObsServer starts the live exposition server on addr (host:port;
 // port 0 picks a free one) over a registry and an optional in-flight

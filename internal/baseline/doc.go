@@ -17,5 +17,6 @@
 //     higher and grows with load (Figs. 2–4).
 //   - Random: uniform placement; a sanity floor for tests.
 //   - BruteForceHTA: the exact HTA optimum by exhaustive search, for small
-//     instances — used to measure LP-HTA's empirical approximation ratio.
+//     instances — the tests' reference for core.OptimalHTA, which the
+//     ratio experiment uses to measure LP-HTA's empirical ratio.
 package baseline

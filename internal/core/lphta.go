@@ -516,9 +516,9 @@ func taskBounds(t *task.Task, o costmodel.Options) (bounds [3]float64, reach [3]
 	return bounds, reach
 }
 
-// clusterScratch is one batch worker's buffers for the cluster LP: the
-// task constants, the device grouping and the solver. Nothing in it
-// outlives the cluster being solved.
+// clusterScratch is one batch worker's (or one OptimalHTA call's) buffers
+// for the cluster LP: the task constants, the device grouping and the
+// solver. Nothing in it outlives the cluster being solved.
 type clusterScratch struct {
 	k      []p2Task
 	order  []int32
@@ -536,12 +536,27 @@ type clusterScratch struct {
 //	     Σ_l x_ijl = 1                  (C4)
 //	     0 ≤ x_ijl ≤ 1                  (relaxed C5)
 //
-// with the structured solver (p2.go). The build groups the tasks by
-// device in sys.Cluster order (ascending device index), in arena order
-// within a device, the same list ClusterState keeps, and sorts each
-// device's two segment lists. The solution's x is indexed like cts.
+// with the structured solver (p2.go), on the constants build derives. The
+// solution's x is indexed like cts.
 func (sc *clusterScratch) solveClusterLP(sys *mecnet.System, station int, cts []clusterTask, ins obs.Instruments) (*p2Solution, error) {
 	buildTimer := obs.StartTimer()
+	sc.build(sys, cts)
+	ins.Histogram("lphta.stage_seconds.build", obs.TimeBuckets).Observe(buildTimer.Seconds())
+
+	solveTimer := obs.StartTimer()
+	sol, err := sc.solver.solveCluster(sc.k, sc.devs, sys.Stations[station].ResourceCap, station, len(cts), ins)
+	if err != nil {
+		return nil, err
+	}
+	ins.Histogram("lphta.stage_seconds.solve", obs.TimeBuckets).Observe(solveTimer.Seconds())
+	return sol, nil
+}
+
+// build fills sc.k with the solver constants of cts and sc.devs with the
+// tasks grouped by device in sys.Cluster order (ascending device index),
+// in cts order within a device, the same list ClusterState keeps, and
+// sorts each device's two segment lists.
+func (sc *clusterScratch) build(sys *mecnet.System, cts []clusterTask) {
 	sc.k = sc.k[:0]
 	sc.order = sc.order[:0]
 	for i := range cts {
@@ -570,15 +585,6 @@ func (sc *clusterScratch) solveClusterLP(sys *mecnet.System, station int, cts []
 		sc.devs = append(sc.devs, d)
 		start = end
 	}
-	ins.Histogram("lphta.stage_seconds.build", obs.TimeBuckets).Observe(buildTimer.Seconds())
-
-	solveTimer := obs.StartTimer()
-	sol, err := sc.solver.solveCluster(k, sc.devs, sys.Stations[station].ResourceCap, station, len(cts), ins)
-	if err != nil {
-		return nil, err
-	}
-	ins.Histogram("lphta.stage_seconds.solve", obs.TimeBuckets).Observe(solveTimer.Seconds())
-	return sol, nil
 }
 
 // isIntegral reports whether a fractional task assignment is already 0/1.

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"strings"
 
-	"dsmec/internal/baseline"
 	"dsmec/internal/core"
 	"dsmec/internal/cover"
 	"dsmec/internal/datamap"
-	"dsmec/internal/lp"
 	"dsmec/internal/rng"
 	"dsmec/internal/sim"
 	"dsmec/internal/stats"
@@ -95,9 +93,9 @@ func SimCheck(opts Options) (*Figure, error) {
 }
 
 // RatioStudy goes beyond the paper: it measures LP-HTA's empirical
-// approximation ratio against the exact HTA optimum (computed by
-// LP-based branch-and-bound, far beyond brute-force reach) and compares
-// it with the Theorem 2 bound 3 + Δ/E_LP^OPT.
+// approximation ratio against the exact HTA optimum (core.OptimalHTA:
+// branch-and-bound over the structured P2 solver, far beyond brute-force
+// reach) and compares it with the Theorem 2 bound 3 + Δ/E_LP^OPT.
 func RatioStudy(opts Options) (*Figure, error) {
 	opts = opts.withDefaults()
 	f := &Figure{
@@ -138,8 +136,8 @@ func RatioStudy(opts Options) (*Figure, error) {
 			if err != nil {
 				return ratioTrial{}, err
 			}
-			opt, err := baseline.ILPOptimalHTA(sc.Model, sc.Tasks, 20000)
-			if errors.Is(err, lp.ErrNodeLimit) {
+			opt, err := core.OptimalHTA(sc.Model, sc.Tasks)
+			if errors.Is(err, core.ErrNodeLimit) {
 				return ratioTrial{outcome: ratioNodeLimit}, nil // too hard to prove optimal
 			}
 			if errors.Is(err, core.ErrNoFeasible) {

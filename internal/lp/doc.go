@@ -1,4 +1,7 @@
-// Package lp is a self-contained dense linear-programming solver.
+// Package lp is a self-contained dense linear-programming solver, kept as
+// the reference that the structured cluster solver in internal/core is
+// tested against (FuzzClusterRelaxation, TestLPHTAStructuredMatchesSimplex).
+// No production path runs it.
 //
 // It solves problems of the form
 //
@@ -6,15 +9,9 @@
 //	subject to  a_i·x {≤,≥,=} b_i     for every constraint i
 //	            0 ≤ x_j ≤ u_j         (u_j may be +∞)
 //
-// using the two-phase primal simplex method on a dense tableau. The paper's
-// LP-HTA algorithm (Section III.A) needs an optimal solution of the relaxed
-// problem P2; it cites Karmarkar's interior-point method [17], but any
-// LP-optimal point works for the rounding and repair steps, and a simplex
-// vertex solution has at most as many fractional entries as any interior
-// optimum. Problem sizes in the paper's evaluation are a few hundred
-// variables per cluster, well within dense-tableau territory.
-//
-// The implementation uses Dantzig pricing with an automatic switch to
-// Bland's rule after a run of degenerate pivots, which guarantees
-// termination.
+// using the two-phase primal simplex method on a dense tableau, with
+// Dantzig pricing and an automatic switch to Bland's rule after a run of
+// degenerate pivots, which guarantees termination. It is independent of
+// the structured solver: it knows nothing of P2's shape, so agreement
+// between the two checks both.
 package lp

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"dsmec/internal/obs"
 )
 
 // Sense is the direction of a linear constraint.
@@ -182,33 +180,6 @@ type Solution struct {
 	X          []float64
 	Objective  float64
 	Iterations int
-	// Stats breaks the solve down for observability.
-	Stats SolveStats
-}
-
-// SolveStats counts what the simplex actually did.
-type SolveStats struct {
-	// Pivots counts basis changes (excludes bound flips).
-	Pivots int
-	// BoundFlips counts nonbasic variables crossing to their other bound
-	// without a basis change.
-	BoundFlips int
-	// DegeneratePivots counts iterations with a ~zero step.
-	DegeneratePivots int
-	// RatioTestTies counts leaving-row ties within tolerance, where the
-	// anti-cycling index rule had to arbitrate.
-	RatioTestTies int
-	// BlandSwitches counts escalations to Bland's rule after a
-	// degenerate run.
-	BlandSwitches int
-	// ObjectiveInstalls counts reduced-cost row installations.
-	ObjectiveInstalls int
-	// Phase1Iterations and Phase2Iterations split Solution.Iterations.
-	Phase1Iterations int
-	Phase2Iterations int
-	// Phase1Seconds and Phase2Seconds are wall-clock phase timings.
-	Phase1Seconds float64
-	Phase2Seconds float64
 }
 
 // ErrIterationLimit is returned when the simplex fails to converge within
@@ -222,60 +193,12 @@ const (
 	pivotEps = 1e-7
 )
 
-// Solve solves the problem with the two-phase simplex method. Metrics
-// are recorded to the process-wide obs registry when one is installed.
+// Solve solves the problem with the two-phase simplex method.
 func Solve(p *Problem) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	log := obs.GlobalLogger()
-	sol, err := newTableau(p).solve(p, log)
-	record(obs.Global(), log, p, sol, err)
-	return sol, err
-}
-
-// record publishes one solve's outcome. The counter lookups cost a few
-// nanoseconds each against a disabled (nil) registry.
-func record(reg *obs.Registry, log *obs.Logger, p *Problem, sol *Solution, err error) {
-	if reg == nil && log == nil {
-		return
-	}
-	reg.Counter("lp.solves").Inc()
-	if err != nil {
-		reg.Counter("lp.errors").Inc()
-		log.Warn("lp solve failed",
-			"vars", p.NumVars(),
-			"constraints", len(p.Constraints),
-			"err", err.Error())
-		return
-	}
-	st := sol.Stats
-	reg.Counter("lp.pivots").Add(int64(st.Pivots))
-	reg.Counter("lp.bound_flips").Add(int64(st.BoundFlips))
-	reg.Counter("lp.degenerate_pivots").Add(int64(st.DegeneratePivots))
-	reg.Counter("lp.ratio_test_ties").Add(int64(st.RatioTestTies))
-	reg.Counter("lp.bland_switches").Add(int64(st.BlandSwitches))
-	reg.Counter("lp.objective_installs").Add(int64(st.ObjectiveInstalls))
-	reg.Counter("lp.phase1_iterations").Add(int64(st.Phase1Iterations))
-	reg.Counter("lp.phase2_iterations").Add(int64(st.Phase2Iterations))
-	switch sol.Status {
-	case Infeasible:
-		reg.Counter("lp.infeasible").Inc()
-	case Unbounded:
-		reg.Counter("lp.unbounded").Inc()
-	}
-	reg.Histogram("lp.solve_seconds", obs.TimeBuckets).Observe(st.Phase1Seconds + st.Phase2Seconds)
-	reg.Histogram("lp.pivots_per_solve", obs.CountBuckets).Observe(float64(st.Pivots))
-	reg.Histogram("lp.degenerate_pivots_per_solve", obs.CountBuckets).Observe(float64(st.DegeneratePivots))
-	if log.Enabled(obs.LevelDebug) {
-		log.Debug("lp solve done",
-			"status", sol.Status.String(),
-			"vars", p.NumVars(),
-			"constraints", len(p.Constraints),
-			"pivots", st.Pivots,
-			"degenerate_pivots", st.DegeneratePivots,
-			"seconds", st.Phase1Seconds+st.Phase2Seconds)
-	}
+	return newTableau(p).solve(p)
 }
 
 // varStatus tracks where a nonbasic variable currently sits.
@@ -309,7 +232,6 @@ type tableau struct {
 
 	obj        []float64 // reduced-cost row
 	iterations int
-	stats      SolveStats
 }
 
 // rowKind is one constraint row after RHS-sign normalization: the
@@ -408,7 +330,6 @@ func newTableau(p *Problem) *tableau {
 
 // setObjective installs the reduced-cost row for the given costs.
 func (t *tableau) setObjective(costs []float64) {
-	t.stats.ObjectiveInstalls++
 	t.obj = make([]float64, t.n)
 	copy(t.obj, costs)
 	for i, b := range t.basis {
@@ -458,7 +379,6 @@ func (t *tableau) pivot(row, col int) {
 	}
 	t.basis[row] = col
 	t.iterations++
-	t.stats.Pivots++
 }
 
 // errUnbounded signals an unbounded phase-2 objective.
@@ -533,9 +453,6 @@ func (t *tableau) runSimplex(allowed func(col int) bool) error {
 			switch {
 			case a > pivotEps: // basic value falls toward 0
 				s := t.value[i] / a
-				if s < step+eps && s >= step-eps && leave >= 0 {
-					t.stats.RatioTestTies++
-				}
 				if s < step-eps ||
 					(s < step+eps && (leave < 0 || t.basis[i] < t.basis[leave])) {
 					step, leave, leaveAt = s, i, atLower
@@ -546,9 +463,6 @@ func (t *tableau) runSimplex(allowed func(col int) bool) error {
 					continue
 				}
 				s := (ub - t.value[i]) / -a
-				if s < step+eps && s >= step-eps && leave >= 0 {
-					t.stats.RatioTestTies++
-				}
 				if s < step-eps ||
 					(s < step+eps && (leave < 0 || t.basis[i] < t.basis[leave])) {
 					step, leave, leaveAt = s, i, atUpper
@@ -564,11 +478,7 @@ func (t *tableau) runSimplex(allowed func(col int) bool) error {
 
 		if step < eps {
 			degenerate++
-			t.stats.DegeneratePivots++
 			if degenerate > t.m+t.n {
-				if !useBland {
-					t.stats.BlandSwitches++
-				}
 				useBland = true
 			}
 		} else {
@@ -590,7 +500,6 @@ func (t *tableau) runSimplex(allowed func(col int) bool) error {
 				t.status[enter] = atLower
 			}
 			t.iterations++
-			t.stats.BoundFlips++
 			continue
 		}
 
@@ -614,27 +523,18 @@ func (t *tableau) runSimplex(allowed func(col int) bool) error {
 	return ErrIterationLimit
 }
 
-// solve runs the two phases and extracts the solution. log, when enabled
-// at debug, receives one record per phase transition.
-func (t *tableau) solve(p *Problem, log *obs.Logger) (*Solution, error) {
+// solve runs the two phases and extracts the solution.
+func (t *tableau) solve(p *Problem) (*Solution, error) {
 	allowAll := func(int) bool { return true }
 	artStart := t.n - t.nArt
 
 	if t.nArt > 0 {
-		p1Timer := obs.StartTimer()
 		phase1 := make([]float64, t.n)
 		for j := artStart; j < t.n; j++ {
 			phase1[j] = 1
 		}
 		t.setObjective(phase1)
 		err := t.runSimplex(allowAll)
-		t.stats.Phase1Iterations = t.iterations
-		t.stats.Phase1Seconds = p1Timer.Seconds()
-		if log.Enabled(obs.LevelDebug) {
-			log.Debug("lp phase1 done",
-				"iterations", t.stats.Phase1Iterations,
-				"seconds", t.stats.Phase1Seconds)
-		}
 		if errors.Is(err, errUnbounded) {
 			return nil, errors.New("lp: phase-1 simplex reported unbounded")
 		}
@@ -648,7 +548,7 @@ func (t *tableau) solve(p *Problem, log *obs.Logger) (*Solution, error) {
 			}
 		}
 		if infeas > 1e-6 {
-			return &Solution{Status: Infeasible, Iterations: t.iterations, Stats: t.stats}, nil
+			return &Solution{Status: Infeasible, Iterations: t.iterations}, nil
 		}
 		// Drive surviving artificials out of the basis, or retire their
 		// rows as redundant.
@@ -680,21 +580,13 @@ func (t *tableau) solve(p *Problem, log *obs.Logger) (*Solution, error) {
 		}
 	}
 
-	p2Timer := obs.StartTimer()
 	costs := make([]float64, t.n)
 	copy(costs, p.Minimize)
 	t.setObjective(costs)
 	noArt := func(col int) bool { return col < artStart }
 	err := t.runSimplex(noArt)
-	t.stats.Phase2Iterations = t.iterations - t.stats.Phase1Iterations
-	t.stats.Phase2Seconds = p2Timer.Seconds()
-	if log.Enabled(obs.LevelDebug) {
-		log.Debug("lp phase2 done",
-			"iterations", t.stats.Phase2Iterations,
-			"seconds", t.stats.Phase2Seconds)
-	}
 	if errors.Is(err, errUnbounded) {
-		return &Solution{Status: Unbounded, Iterations: t.iterations, Stats: t.stats}, nil
+		return &Solution{Status: Unbounded, Iterations: t.iterations}, nil
 	}
 	if err != nil {
 		return nil, err
@@ -719,5 +611,5 @@ func (t *tableau) solve(p *Problem, log *obs.Logger) (*Solution, error) {
 	for j, c := range p.Minimize {
 		obj += c * x[j]
 	}
-	return &Solution{Status: Optimal, X: x, Objective: obj, Iterations: t.iterations, Stats: t.stats}, nil
+	return &Solution{Status: Optimal, X: x, Objective: obj, Iterations: t.iterations}, nil
 }

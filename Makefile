@@ -2,8 +2,9 @@
 # vet, build, the full test suite under the race detector, a
 # single-iteration benchmark smoke run so the perf harness can't rot, a
 # few seconds of fuzzing the scenario decoder, the cluster solver, the
-# data-division matcher, the replay-alone oracle and LP-HTA against its
-# guarantees and the exact optimum, the meclint static-analysis suite
+# data-division matcher, the replay-alone oracle, LP-HTA against its
+# guarantees and the exact optimum, and the mecd HTTP handlers, the
+# meclint static-analysis suite
 # (which includes the docs and links checks — see docs/LINTING.md),
 # staticcheck when fetchable, a mecstat smoke over its
 # committed fixtures, a mecd service smoke that boots the daemon on a
@@ -92,15 +93,19 @@ bench-smoke:
 # simulator on each placement against the cost model's t_ijl and E_ijl
 # (internal/sim FuzzReplayAlone), and LP-HTA on small generated
 # scenarios against C1–C5, the Theorem 2 bound and the branch-and-bound
-# optimum (internal/core FuzzLPHTA). `go test -fuzz` runs one target per
-# invocation. A crasher lands in the package's testdata/fuzz/<target>
-# directory; commit it as a regression case.
+# optimum (internal/core FuzzLPHTA), and one arbitrary request against a
+# small mecd, which must never panic or answer 5xx and must list every
+# accepted arrival in its next read (cmd/mecd FuzzHandlers). `go test
+# -fuzz` runs one target per invocation. A crasher lands in the
+# package's testdata/fuzz/<target> directory; commit it as a regression
+# case.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime 5s ./internal/scenarioio/
 	$(GO) test -run xxx -fuzz FuzzClusterRelaxation -fuzztime 5s ./internal/core/
 	$(GO) test -run xxx -fuzz FuzzOptimalMaxLoad -fuzztime 5s ./internal/cover/
 	$(GO) test -run xxx -fuzz FuzzReplayAlone -fuzztime 5s ./internal/sim/
 	$(GO) test -run xxx -fuzz FuzzLPHTA -fuzztime 5s ./internal/core/
+	$(GO) test -run xxx -fuzz FuzzHandlers -fuzztime 5s ./cmd/mecd/
 
 # The repository benchmark is its own module (e2ebench/go.mod), so
 # `go test ./...` at the root never reaches it. This runs its tests

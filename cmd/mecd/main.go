@@ -38,6 +38,7 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"dsmec/internal/costmodel"
 	"dsmec/internal/obs"
@@ -80,6 +81,15 @@ func (e *scenarioParseError) Error() string {
 }
 
 func (e *scenarioParseError) Unwrap() error { return e.Err }
+
+// Server limits. There is no write timeout: a large GET /v1/assignments
+// must never be cut off mid-body.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	// shutdownTimeout bounds the drain of in-flight requests on SIGTERM.
+	shutdownTimeout = 5 * time.Second
+)
 
 // testHookListening, when set by a test, is called synchronously with the
 // server's base URL once the listener is accepting connections.
@@ -136,6 +146,10 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// Take over SIGINT/SIGTERM before announcing the address, so a signal
+	// from whoever read it always drains the server instead of killing it.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	url := "http://" + l.Addr().String()
 	logger.Info("mecd listening", "url", url,
 		"devices", m.System().NumDevices(), "stations", m.System().NumStations())
@@ -144,19 +158,26 @@ func run(args []string, stdout io.Writer) error {
 		testHookListening(url)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	hs := &http.Server{
+		Handler:           srv,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
-	go func() { errc <- http.Serve(l, srv) }()
+	go func() { errc <- hs.Serve(l) }()
 	select {
 	case <-ctx.Done():
-		_ = l.Close()
-		<-errc // wait for Serve to return before finalizing the manifest
-		err = nil
-	case err = <-errc:
-		if errors.Is(err, net.ErrClosed) {
-			err = nil
+		// Stop accepting, then let in-flight requests finish, so every
+		// acknowledged mutation is in the manifest written below.
+		sctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+		err = hs.Shutdown(sctx)
+		cancel()
+		if err != nil {
+			_ = hs.Close() // the drain timed out; its error is the one to report
+			err = fmt.Errorf("draining requests on shutdown: %w", err)
 		}
+		<-errc // Serve has returned ErrServerClosed
+	case err = <-errc:
 	}
 	if *metricsPath != "" {
 		manifest.Finish(reg)

@@ -7,7 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 
 	"dsmec/internal/core"
@@ -30,15 +35,7 @@ func testScenario(t *testing.T, seed int64, devices, stations, tasks int) *workl
 
 func testServer(t *testing.T, sc *workload.Scenario, workers int) (*httptest.Server, *obs.Registry) {
 	t.Helper()
-	reg := obs.NewRegistry()
-	logger, err := obs.NewLogger(io.Discard, "off", "text")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := newServer(sc.Model, reg, obs.NewManifest("mecd", nil), logger, workers)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv, reg := quietServer(t, sc.Model, workers)
 	hs := httptest.NewServer(srv)
 	t.Cleanup(hs.Close)
 	return hs, reg
@@ -361,5 +358,112 @@ func TestRunSelfcheck(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "selfcheck ok") {
 		t.Errorf("selfcheck output %q lacks ok marker", out.String())
+	}
+}
+
+// TestBodyCap: a POST body of exactly 1 MiB is read in full; one byte more
+// is answered with 413.
+func TestBodyCap(t *testing.T) {
+	sc := testScenario(t, 10, 8, 2, 4)
+	hs, _ := testServer(t, sc, 0)
+	// doc pads head+tail with whitespace inside the object to size bytes,
+	// so the decoder must read all of them.
+	doc := func(head, tail string, size int) string {
+		return head + strings.Repeat(" ", size-len(head)-len(tail)) + tail
+	}
+	const head, tail = `{"user":0,"index":1,`, `"op_bytes":1000,"resource":1,"deadline_s":1}`
+	cases := []struct {
+		name, path, body string
+		want             int
+	}{
+		{"task at the cap", "/v1/tasks", doc(head, tail, maxBodyBytes), http.StatusAccepted},
+		{"task over the cap", "/v1/tasks", doc(head, tail, maxBodyBytes+1), http.StatusRequestEntityTooLarge},
+		{"device over the cap", "/v1/devices", doc(`{`, `"id":1}`, maxBodyBytes+1), http.StatusRequestEntityTooLarge},
+	}
+	for _, tc := range cases {
+		resp, err := http.Post(hs.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s (%d bytes): status %d, want %d: %.200s", tc.name, len(tc.body), resp.StatusCode, tc.want, b)
+		}
+	}
+}
+
+// TestShutdownCountsAcknowledgedArrivals sends SIGTERM while clients are
+// streaming arrivals: the daemon must finish the requests in flight before
+// it writes its manifest, so every arrival a client saw acknowledged is
+// counted there.
+func TestShutdownCountsAcknowledgedArrivals(t *testing.T) {
+	manifest := filepath.Join(t.TempDir(), "run.json")
+	urls := make(chan string, 1)
+	testHookListening = func(url string) { urls <- url }
+	t.Cleanup(func() { testHookListening = nil })
+	ran := make(chan error, 1)
+	go func() {
+		ran <- run([]string{"-addr", "127.0.0.1:0", "-devices", "40", "-stations", "4",
+			"-metrics", manifest, "-log-level", "off"}, io.Discard)
+	}()
+	base := <-urls
+
+	const clients = 4
+	var acked atomic.Int64
+	flowing := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(user int) {
+			defer wg.Done()
+			client := &http.Client{}
+			defer client.CloseIdleConnections()
+			for i := 0; ; i++ {
+				body := fmt.Sprintf(`{"user":%d,"index":%d,"op_bytes":1000,"resource":1,"deadline_s":100}`, user, i)
+				resp, err := client.Post(base+"/v1/tasks", "application/json", strings.NewReader(body))
+				if err != nil {
+					return // the daemon has stopped taking requests
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusAccepted {
+					t.Errorf("arrival %d/%d: status %d", user, i, resp.StatusCode)
+					return
+				}
+				if acked.Add(1) == 100 {
+					close(flowing)
+				}
+			}
+		}(c)
+	}
+	stopped := make(chan struct{})
+	go func() { wg.Wait(); close(stopped) }()
+	select {
+	case <-flowing:
+	case <-stopped: // every client failed early; their errors say why
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-ran; err != nil {
+		t.Fatalf("mecd: %v", err)
+	}
+	<-stopped
+
+	b, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Metrics struct {
+			Counters map[string]int64 `json:"counters"`
+		} `json:"metrics"`
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := doc.Metrics.Counters["mecd.arrivals"], acked.Load(); got < want {
+		t.Errorf("manifest counts %d arrivals, but clients saw %d acknowledged", got, want)
 	}
 }

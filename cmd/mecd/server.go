@@ -2,9 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -35,12 +35,31 @@ type server struct {
 	shards []*shard
 }
 
-// shard is one station's mutable state.
+// shard is one station's mutable state; mu guards every field. A
+// published solve is never mutated (each ClusterState.Solve returns a new
+// ClusterResult), so a reader may keep using the solved value it copied
+// under mu after unlocking.
 type shard struct {
 	mu    sync.Mutex
 	cs    *core.ClusterState
 	dirty bool
-	res   *core.ClusterResult // last solve; valid when !dirty
+	last  solved // last solve; current when !dirty
+}
+
+// solved is one shard's last solve with its placement counts, so a
+// summary sums one pair of scalars per shard instead of walking the
+// placements.
+type solved struct {
+	res               *core.ClusterResult
+	placed, cancelled int
+}
+
+// view returns the shard's last solve, taken under its lock.
+func (sh *shard) view() solved {
+	sh.mu.Lock()
+	v := sh.last
+	sh.mu.Unlock()
+	return v
 }
 
 func newServer(m *costmodel.Model, reg *obs.Registry, manifest *obs.Manifest, logger *obs.Logger, workers int) (*server, error) {
@@ -81,7 +100,15 @@ func newServer(m *costmodel.Model, reg *obs.Registry, manifest *obs.Manifest, lo
 	return s, nil
 }
 
-func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+// maxBodyBytes caps every POST body; a larger one is answered with 413.
+const maxBodyBytes = 1 << 20
+
+func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodPost {
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	}
+	s.mux.ServeHTTP(w, r)
+}
 
 // preload streams a task set into the shards before serving, in arena
 // order — the same order the batch planner sees, so a subsequent
@@ -122,6 +149,25 @@ type errorDoc struct {
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorDoc{Error: fmt.Sprintf(format, args...)})
+}
+
+// decodeBody decodes the request's JSON document into v, refusing unknown
+// fields. On failure it writes the error response, 413 for a body over
+// maxBodyBytes and 400 otherwise, and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, "%s document over %d bytes", what, tooBig.Limit)
+	} else {
+		writeError(w, http.StatusBadRequest, "bad %s document: %v", what, err)
+	}
+	return false
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -238,10 +284,7 @@ type arrivalDoc struct {
 
 func (s *server) handleTaskArrival(w http.ResponseWriter, r *http.Request) {
 	var td taskDoc
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&td); err != nil {
-		writeError(w, http.StatusBadRequest, "bad task document: %v", err)
+	if !decodeBody(w, r, "task", &td) {
 		return
 	}
 	t := td.toTask()
@@ -324,10 +367,7 @@ type deviceDoc struct {
 
 func (s *server) handleDeviceJoin(w http.ResponseWriter, r *http.Request) {
 	var dd deviceDoc
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&dd); err != nil {
-		writeError(w, http.StatusBadRequest, "bad device document: %v", err)
+	if !decodeBody(w, r, "device", &dd) {
 		return
 	}
 	if _, err := s.m.System().StationOf(dd.ID); err != nil {
@@ -390,7 +430,7 @@ func (s *server) handleDeviceLeave(w http.ResponseWriter, r *http.Request) {
 }
 
 // solveDirty re-solves every dirty shard over a bounded worker pool and
-// returns the first error. Shard results land in shard.res under the shard
+// returns the first error. Shard results land in shard.last under the shard
 // mutex; merge order is always station order, so downstream output does
 // not depend on the worker count.
 func (s *server) solveDirty() error {
@@ -453,7 +493,15 @@ func (sh *shard) solveLocked() error {
 	if err != nil {
 		return err
 	}
-	sh.res = res
+	v := solved{res: res}
+	for _, p := range res.Placements {
+		if p.Level == costmodel.SubsystemNone {
+			v.cancelled++
+		} else {
+			v.placed++
+		}
+	}
+	sh.last = v
 	sh.dirty = false
 	return nil
 }
@@ -471,28 +519,27 @@ type solveDoc struct {
 	PreCancelled    int     `json:"pre_cancelled"`
 }
 
+// add accumulates one shard's solve. Callers add shards in station order,
+// so the float sums do not depend on which worker solved which shard.
+func (doc *solveDoc) add(v solved) {
+	if v.res == nil {
+		return
+	}
+	doc.Tasks += len(v.res.Placements)
+	doc.Placed += v.placed
+	doc.Cancelled += v.cancelled
+	doc.LPObjectiveJ += v.res.LPObjective.Joules()
+	doc.RoundedEnergyJ += v.res.RoundedEnergy.Joules()
+	doc.DeltaJ += v.res.Delta.Joules()
+	doc.FractionalTasks += v.res.FractionalTasks
+	doc.PreCancelled += v.res.PreCancelled
+}
+
+// merged sums every shard's last solve.
 func (s *server) merged() solveDoc {
 	var doc solveDoc
 	for _, sh := range s.shards {
-		sh.mu.Lock()
-		res := sh.res
-		sh.mu.Unlock()
-		if res == nil {
-			continue
-		}
-		doc.Tasks += len(res.Placements)
-		for _, p := range res.Placements {
-			if p.Level == costmodel.SubsystemNone {
-				doc.Cancelled++
-			} else {
-				doc.Placed++
-			}
-		}
-		doc.LPObjectiveJ += res.LPObjective.Joules()
-		doc.RoundedEnergyJ += res.RoundedEnergy.Joules()
-		doc.DeltaJ += res.Delta.Joules()
-		doc.FractionalTasks += res.FractionalTasks
-		doc.PreCancelled += res.PreCancelled
+		doc.add(sh.view())
 	}
 	return doc
 }
@@ -512,39 +559,110 @@ type assignmentDoc struct {
 	Subsystem string `json:"subsystem"`
 }
 
-// assignmentsDoc is the GET /v1/assignments body. Assignments are sorted
-// by task ID, so the bytes are independent of shard solve order and
-// worker count.
+// assignmentsDoc is the GET /v1/assignments body. handleAssignments
+// writes it without encoding/json; the type decodes it in runSelfcheck and
+// the tests.
 type assignmentsDoc struct {
 	Assignments []assignmentDoc `json:"assignments"`
 	Summary     solveDoc        `json:"summary"`
 }
 
+// handleAssignments writes every task's placement, sorted by task ID so the
+// bytes are independent of shard solve order and worker count, and the
+// summary, both from one snapshot of the shards' last solves.
 func (s *server) handleAssignments(w http.ResponseWriter, r *http.Request) {
 	if err := s.solveDirty(); err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	doc := assignmentsDoc{Assignments: []assignmentDoc{}, Summary: s.merged()}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		res := sh.res
-		sh.mu.Unlock()
-		if res == nil {
-			continue
+	snap := make([]solved, len(s.shards))
+	var sum solveDoc
+	for i, sh := range s.shards {
+		snap[i] = sh.view()
+		sum.add(snap[i])
+	}
+	summary, err := json.Marshal(sum)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	rows := sortedRows(snap, s.m.System().NumDevices())
+
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	buf := make([]byte, 0, rowBuf)
+	buf = append(buf, `{"assignments":[`...)
+	for i, p := range rows {
+		if i > 0 {
+			buf = append(buf, ',')
 		}
-		for _, p := range res.Placements {
-			doc.Assignments = append(doc.Assignments, assignmentDoc{
-				User: p.ID.User, Index: p.ID.Index, Subsystem: p.Level.String(),
-			})
+		buf = append(buf, `{"user":`...)
+		buf = strconv.AppendInt(buf, int64(p.ID.User), 10)
+		buf = append(buf, `,"index":`...)
+		buf = strconv.AppendInt(buf, int64(p.ID.Index), 10)
+		buf = append(buf, `,"subsystem":"`...)
+		buf = append(buf, p.Level.String()...)
+		buf = append(buf, `"}`...)
+		if len(buf) >= flushAt {
+			if _, err := w.Write(buf); err != nil {
+				return // the client is gone
+			}
+			buf = buf[:0]
 		}
 	}
-	sort.Slice(doc.Assignments, func(i, j int) bool {
-		a, b := doc.Assignments[i], doc.Assignments[j]
-		if a.User != b.User {
-			return a.User < b.User
+	buf = append(buf, `],"summary":`...)
+	buf = append(buf, summary...)
+	buf = append(buf, "}\n"...)
+	_, _ = w.Write(buf) // nothing to report a failed write to
+}
+
+// The row encoder writes its buffer out after the row that takes it past
+// flushAt. A row is under 100 bytes, so rowBuf holds the rows between two
+// writes and a read's buffer does not grow with its row count.
+const (
+	flushAt = 32 << 10
+	rowBuf  = flushAt + 128
+)
+
+// sortedRows returns the snapshot's placements ordered by (user, index)
+// without a comparison sort over all of them. Every device's tasks live in
+// one shard, so a counting pass over the users (all below numDevices)
+// places each row in its device's run, and each run, one device's few
+// tasks in arrival order, is then insertion-sorted by index.
+func sortedRows(snap []solved, numDevices int) []core.ClusterPlacement {
+	// pos[u] counts device u-1's rows, then becomes the first row of
+	// device u, then, once every row is placed, one past its last.
+	pos := make([]int, numDevices+1)
+	for _, v := range snap {
+		if v.res != nil {
+			for _, p := range v.res.Placements {
+				pos[p.ID.User+1]++
+			}
 		}
-		return a.Index < b.Index
-	})
-	writeJSON(w, http.StatusOK, doc)
+	}
+	for u := 1; u <= numDevices; u++ {
+		pos[u] += pos[u-1]
+	}
+	rows := make([]core.ClusterPlacement, pos[numDevices])
+	for _, v := range snap {
+		if v.res != nil {
+			for _, p := range v.res.Placements {
+				rows[pos[p.ID.User]] = p
+				pos[p.ID.User]++
+			}
+		}
+	}
+	lo := 0
+	for _, hi := range pos[:numDevices] {
+		for i := lo + 1; i < hi; i++ {
+			p := rows[i]
+			j := i
+			for ; j > lo && rows[j-1].ID.Index > p.ID.Index; j-- {
+				rows[j] = rows[j-1]
+			}
+			rows[j] = p
+		}
+		lo = hi
+	}
+	return rows
 }
